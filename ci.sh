@@ -21,6 +21,15 @@ go run -race ./cmd/shrimp-bench -parallel 4 -iters 2 -only sweep -o /dev/null
 GOMAXPROCS=1 go test -race -count 1 -run 'TestPartition|TestTable1Partition' ./internal/core ./internal/msg
 GOMAXPROCS=8 go test -race -count 1 -run 'TestPartition|TestTable1Partition' ./internal/core ./internal/msg
 go run -race ./cmd/shrimp-bench -iters 1 -only mesh/par -mesh 8x8 -partitions 1,4,8 -o /dev/null
+# Host memory path guards. LoadBytes must charge the cache exactly as
+# byte loads would, the harness accessors must see every protection
+# change, unmap and remap through the micro-TLB they share with the CPU
+# (which on a partitioned machine fills it inside cluster rounds while
+# the harness fills it between them), and lazily built kernel-ring state
+# must be unobservable. The Go-API read path must not touch the heap.
+GOMAXPROCS=1 go test -race -count 1 -run 'TestLoadBytes|TestHostPathTLB|TestLazyRing' ./internal/cache ./internal/msg ./internal/kernel
+GOMAXPROCS=2 go test -race -count 1 -run 'TestLoadBytes|TestHostPathTLB|TestLazyRing' ./internal/cache ./internal/msg ./internal/kernel
+go test -run '^$' -bench 'BenchmarkUserReadBytes' -benchtime 1000x -benchmem ./internal/core | grep 'BenchmarkUserReadBytes' | grep -q ' 0 allocs/op'
 # Rendezvous allocation guards, unconditional (they hold on any host,
 # unlike the speedup gate below): the typed post/message path through
 # the cluster must not touch the heap, and the partitioned allreduce

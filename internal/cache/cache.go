@@ -232,23 +232,62 @@ func (c *Cache) load(a phys.PAddr, size int) (uint32, sim.Time) {
 		v, done := c.xbus.Read32(bus.InitCPU, a)
 		return truncate(v, size), done - c.eng.Now()
 	}
+	l, lat := c.loadLine(a)
+	return truncate(read32(l.data, uint32(a)&c.lineMask), size), lat
+}
+
+// loadLine charges one load of the DRAM address a and returns the line
+// now holding it: a hit, or a miss that evicts the set's LRU way
+// (writing it back if dirty) and fills the line over the bus.
+func (c *Cache) loadLine(a phys.PAddr) (*line, sim.Time) {
 	if l := c.lookup(a); l != nil {
 		c.stats.LoadHits++
 		c.pureAcc++
 		c.allAcc++
-		_, _, off := c.decompose(a)
-		return truncate(read32(l.data, off), size), c.cfg.HitTime
+		return l, c.cfg.HitTime
 	}
 	c.stats.LoadMisses++
 	c.allAcc++
 	l := c.victim(a)
-	set, tag, off := c.decompose(a)
-	base := c.lineBase(set, tag)
-	done := c.xbus.ReadInto(bus.InitCPU, base, l.data)
+	set, tag, _ := c.decompose(a)
+	done := c.xbus.ReadInto(bus.InitCPU, c.lineBase(set, tag), l.data)
 	l.valid, l.dirty, l.tag = true, false, tag
 	c.clock++
 	l.lru = c.clock
-	return truncate(read32(l.data, off), size), done - c.eng.Now()
+	return l, done - c.eng.Now()
+}
+
+// LoadBytes reads len(out) bytes starting at a, leaving the cache, its
+// statistics and the bus exactly as len(out) ascending one-byte Loads
+// would. Each run that stays inside one cache line costs one lookup:
+// its first byte is an ordinary load (hit or miss), and the rest are the
+// hits the byte loads would have been — LoadHits, the spin-probe
+// counters and the LRU clock each advance by the run length minus one,
+// and the line ends stamped with the final clock. Command-space bytes
+// are bus reads with side effects, so they take the per-byte path.
+func (c *Cache) LoadBytes(a phys.PAddr, out []byte) {
+	for len(out) > 0 {
+		if c.xbus.Memory().IsCmd(a) {
+			v, _ := c.load(a, 1)
+			out[0] = byte(v)
+			out = out[1:]
+			a++
+			continue
+		}
+		off := uint32(a) & c.lineMask
+		n := min(len(out), c.cfg.LineBytes-int(off))
+		l, _ := c.loadLine(a)
+		copy(out[:n], l.data[off:])
+		if rest := uint64(n - 1); rest > 0 {
+			c.stats.LoadHits += rest
+			c.pureAcc += rest
+			c.allAcc += rest
+			c.clock += rest
+			l.lru = c.clock
+		}
+		out = out[n:]
+		a += phys.PAddr(n)
+	}
 }
 
 // Store writes size (1, 2 or 4) bytes at a. writeThrough selects the

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bus"
@@ -236,4 +238,190 @@ func TestCoherenceUnderRandomInterleaving(t *testing.T) {
 			t.Fatalf("final: %#x = %#x, want %#x", uint32(a), got, want)
 		}
 	}
+}
+
+// busLog records every bus write a snooper sees, in order: for CPU
+// writes out of a write-back cache that is the write-back order.
+type busLog struct{ writes []phys.PAddr }
+
+func (b *busLog) SnoopWrite(_ bus.Initiator, a phys.PAddr, _ []byte) {
+	b.writes = append(b.writes, a)
+}
+
+type twin struct {
+	eng *sim.Engine
+	x   *bus.Xpress
+	c   *Cache
+	cmd *countingCmd
+	log *busLog
+}
+
+func newTwin() twin {
+	eng, x, c := newCache()
+	t := twin{eng: eng, x: x, c: c, cmd: &countingCmd{}, log: &busLog{}}
+	x.SetCommandTarget(t.cmd)
+	x.AddSnooper(t.log)
+	return t
+}
+
+// requireSameCache compares everything a one-byte-load sequence and a
+// LoadBytes run may have touched: statistics, spin-probe counters, bus
+// activity, command reads, the bus write log, and every line's tag,
+// state, data and LRU stamp together with the LRU clock.
+func requireSameCache(t *testing.T, what string, a, b twin) {
+	t.Helper()
+	if a.c.Stats() != b.c.Stats() {
+		t.Fatalf("%s: stats %+v, byte loads %+v", what, a.c.Stats(), b.c.Stats())
+	}
+	pa, aa := a.c.SpinProbe()
+	pb, ab := b.c.SpinProbe()
+	if pa != pb || aa != ab {
+		t.Fatalf("%s: spin probe (%d,%d), byte loads (%d,%d)", what, pa, aa, pb, ab)
+	}
+	if a.x.Stats() != b.x.Stats() || a.x.BusyUntil() != b.x.BusyUntil() {
+		t.Fatalf("%s: bus %+v busy %v, byte loads %+v busy %v",
+			what, a.x.Stats(), a.x.BusyUntil(), b.x.Stats(), b.x.BusyUntil())
+	}
+	if a.cmd.reads != b.cmd.reads {
+		t.Fatalf("%s: %d command reads, byte loads %d", what, a.cmd.reads, b.cmd.reads)
+	}
+	if !slices.Equal(a.log.writes, b.log.writes) {
+		t.Fatalf("%s: bus writes %#x, byte loads %#x", what, a.log.writes, b.log.writes)
+	}
+	if a.c.clock != b.c.clock {
+		t.Fatalf("%s: LRU clock %d, byte loads %d", what, a.c.clock, b.c.clock)
+	}
+	for s := range a.c.sets {
+		for w := range a.c.sets[s] {
+			la, lb := &a.c.sets[s][w], &b.c.sets[s][w]
+			if la.valid != lb.valid || la.dirty != lb.dirty || la.tag != lb.tag ||
+				la.lru != lb.lru || !bytes.Equal(la.data, lb.data) {
+				t.Fatalf("%s: set %d way %d = %+v, byte loads %+v", what, s, w, *la, *lb)
+			}
+		}
+	}
+}
+
+// TestLoadBytesMatchesByteLoads is the differential for the host read
+// path: LoadBytes(a, out) on one cache and len(out) ascending Load(a+i,
+// 1) calls on its twin must leave the two indistinguishable — same
+// bytes, statistics, spin-probe and bus counters, LRU stamps — and so
+// must pick the same victim and write back the same lines on a later
+// conflicting access.
+func TestLoadBytesMatchesByteLoads(t *testing.T) {
+	const way = 256 * 32 // bytes per way: same set, next tag
+	cases := []struct {
+		name  string
+		setup func(c *Cache, m *phys.Memory)
+		a     phys.PAddr
+		n     int
+	}{
+		{name: "mid-line", a: 0x105, n: 19},
+		{name: "one-byte", a: 0x11f, n: 1},
+		{name: "cross-lines", a: 0x213, n: 150},
+		{name: "full-page", a: 0x1000, n: phys.PageSize},
+		{name: "warm-hits", a: 0x308, n: 70, setup: func(c *Cache, _ *phys.Memory) {
+			c.Load(0x300, 4)
+			c.Load(0x340, 4)
+		}},
+		{name: "dirty-victim", a: 0x400 + 2*way + 7, n: 60, setup: func(c *Cache, _ *phys.Memory) {
+			// Both ways of the target sets hold dirty lines; the older
+			// one must be written back when the run misses.
+			c.Store(0x400, 1, 4, false)
+			c.Store(0x420, 2, 4, false)
+			c.Store(0x400+way, 3, 4, false)
+			c.Store(0x420+way, 4, 4, false)
+			c.Store(0x440+way, 5, 4, false)
+			c.Load(0x400, 4)
+		}},
+		{name: "command-space", a: phys.PAddr(16*phys.PageSize) + 4, n: 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := newTwin(), newTwin()
+			for _, tw := range []twin{a, b} {
+				for p := 0; p < 8; p++ {
+					for i := 0; i < phys.PageSize; i += 4 {
+						tw.x.Memory().Write32(phys.PageNum(p).Addr(uint32(i)), uint32(p<<16|i))
+					}
+				}
+				if tc.setup != nil {
+					tc.setup(tw.c, tw.x.Memory())
+				}
+			}
+			requireSameCache(t, "after setup", a, b)
+			before := a.c.Stats()
+			got := make([]byte, tc.n)
+			a.c.LoadBytes(tc.a, got)
+			// The named cases must exercise what they are named for.
+			switch after := a.c.Stats(); tc.name {
+			case "dirty-victim":
+				if after.WriteBacks == before.WriteBacks {
+					t.Fatal("run evicted no dirty line")
+				}
+			case "command-space":
+				if a.cmd.reads != tc.n {
+					t.Fatalf("%d command reads for %d bytes", a.cmd.reads, tc.n)
+				}
+			}
+			want := make([]byte, tc.n)
+			for i := range want {
+				v, _ := b.c.Load(tc.a+phys.PAddr(i), 1)
+				want[i] = byte(v)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("LoadBytes read %x, byte loads %x", got, want)
+			}
+			requireSameCache(t, "after the run", a, b)
+			// A later access to every set the run touched, under a new
+			// tag, must evict the same way and write back the same lines.
+			for _, tw := range []twin{a, b} {
+				for off := 0; off < tc.n; off += 32 {
+					tw.c.Load(tc.a+phys.PAddr(off)+3*way, 1)
+					tw.c.Store(tc.a+phys.PAddr(off)+5*way, 9, 1, false)
+				}
+			}
+			requireSameCache(t, "after conflicting accesses", a, b)
+		})
+	}
+}
+
+// TestLoadBytesRandomRuns replays one random access sequence on twin
+// caches, with every read done as a LoadBytes run on one and as byte
+// loads on the other, interleaved with write-back and write-through
+// stores and DMA writes.
+func TestLoadBytesRandomRuns(t *testing.T) {
+	a, b := newTwin(), newTwin()
+	rng := rand.New(rand.NewSource(11))
+	const span = 8 * phys.PageSize
+	for i := 0; i < 3000; i++ {
+		addr := phys.PAddr(rng.Intn(span))
+		switch rng.Intn(4) {
+		case 0:
+			v, wt := rng.Uint32(), rng.Intn(2) == 0
+			addr &^= 3
+			a.c.Store(addr, v, 4, wt)
+			b.c.Store(addr, v, 4, wt)
+		case 1:
+			v := rng.Uint32()
+			addr &^= 3
+			a.x.Write32(bus.InitBridge, addr, v)
+			b.x.Write32(bus.InitBridge, addr, v)
+		default:
+			n := 1 + rng.Intn(200)
+			if int(addr)+n > span {
+				n = span - int(addr)
+			}
+			got, want := make([]byte, n), make([]byte, n)
+			a.c.LoadBytes(addr, got)
+			for j := range want {
+				v, _ := b.c.Load(addr+phys.PAddr(j), 1)
+				want[j] = byte(v)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("step %d: LoadBytes(%#x) read %x, byte loads %x", i, uint32(addr), got, want)
+			}
+		}
+	}
+	requireSameCache(t, "after random runs", a, b)
 }

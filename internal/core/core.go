@@ -144,13 +144,13 @@ type Machine struct {
 
 	partNodes [][]int  // partition index → node ids (probe scan order)
 	glue      *cluGlue // typed post/message decoder; nil sequentially
-	Cfg    Config
-	Net    *mesh.Network
-	Nodes  []*Node
-	Tracer *trace.Tracer   // nil unless Config.TraceCapacity > 0
-	Obs    *obs.Registry   // nil unless Config.Metrics
-	Rec    *obs.Recorder   // nil unless Config.Recorder armed
-	Faults *fault.Injector // nil unless Config.Faults.Enabled()
+	Cfg       Config
+	Net       *mesh.Network
+	Nodes     []*Node
+	Tracer    *trace.Tracer   // nil unless Config.TraceCapacity > 0
+	Obs       *obs.Registry   // nil unless Config.Metrics
+	Rec       *obs.Recorder   // nil unless Config.Recorder armed
+	Faults    *fault.Injector // nil unless Config.Faults.Enabled()
 
 	wd *watchdog // nil unless Config.Watchdog armed
 }
@@ -557,7 +557,7 @@ func (n *Node) userStore(p *kernel.Process, va vm.VAddr, v uint32, size int) err
 			break
 		}
 	}
-	tr, f := p.AS.Translate(va, true)
+	tr, f := n.Box.Translate(p.AS, va, true)
 	if f != nil {
 		return f
 	}
@@ -570,7 +570,7 @@ func (n *Node) userStore(p *kernel.Process, va vm.VAddr, v uint32, size int) err
 
 // UserRead32 is the load counterpart of UserWrite32.
 func (n *Node) UserRead32(p *kernel.Process, va vm.VAddr) (uint32, error) {
-	tr, f := p.AS.Translate(va, false)
+	tr, f := n.Box.Translate(p.AS, va, false)
 	if f != nil {
 		return 0, f
 	}
@@ -621,17 +621,24 @@ func (n *Node) UserWriteBytes(p *kernel.Process, va vm.VAddr, b []byte) error {
 	return nil
 }
 
-// UserReadBytes loads len(out) bytes from p's virtual memory.
+// UserReadBytes loads len(out) bytes from p's virtual memory. The
+// simulated effect is that of len(out) one-byte loads in ascending
+// order; the host does it a page at a time — one translation, then one
+// cache.LoadBytes run, which charges the cache exactly as the byte loads
+// would. A fault on a later page leaves the earlier pages read, as the
+// byte loads would have.
 func (n *Node) UserReadBytes(p *kernel.Process, va vm.VAddr, out []byte) error {
 	prev := n.enter()
 	defer n.Eng.EnterDomain(prev)
-	for i := range out {
-		tr, f := p.AS.Translate(va+vm.VAddr(i), false)
+	for len(out) > 0 {
+		tr, f := n.Box.Translate(p.AS, va, false)
 		if f != nil {
 			return f
 		}
-		v, _ := n.Cache.Load(tr.PA, 1)
-		out[i] = byte(v)
+		run := min(len(out), int(phys.PageSize-va.Offset()))
+		n.Cache.LoadBytes(tr.PA, out[:run])
+		out = out[run:]
+		va += vm.VAddr(run)
 	}
 	return nil
 }

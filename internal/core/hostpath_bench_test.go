@@ -1,0 +1,51 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/nic"
+	"repro/internal/nipt"
+	"repro/internal/phys"
+)
+
+// BenchmarkUserReadBytes measures the host read path a Go-API channel's
+// Recv takes: 1 KB out of a two-page receive buffer that a sender's
+// buffer maps onto, through the micro-TLB and cache.LoadBytes. It must
+// not allocate (ci.sh greps for 0 allocs/op).
+func BenchmarkUserReadBytes(b *testing.B) {
+	m := New(ConfigFor(2, 1, nic.GenEISAPrototype))
+	src, dst := m.Node(0), m.Node(1)
+	ps, pd := src.K.CreateProcess(), dst.K.CreateProcess()
+	sendVA, err := ps.AllocPages(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recvVA, err := pd.AllocPages(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.MustMap(ps, sendVA, 2*phys.PageSize, dst.ID, pd.PID, recvVA, nipt.BlockedWriteAU)
+	msg := make([]byte, 1024)
+	for i := range msg {
+		msg[i] = byte(i * 13)
+	}
+	if err := src.UserWriteBytes(ps, sendVA, msg); err != nil {
+		b.Fatal(err)
+	}
+	if err := m.RunUntilIdle(1_000_000); err != nil {
+		b.Fatal(err)
+	}
+	out := make([]byte, len(msg))
+	b.SetBytes(int64(len(out)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dst.UserReadBytes(pd, recvVA, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if string(out) != string(msg) {
+		b.Fatal("read back the wrong bytes")
+	}
+}

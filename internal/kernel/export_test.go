@@ -1,0 +1,28 @@
+package kernel
+
+import (
+	"slices"
+
+	"repro/internal/packet"
+)
+
+// RingPeers returns, ascending, the nodes whose ring state this kernel
+// has built.
+func (k *Kernel) RingPeers() []packet.NodeID {
+	out := make([]packet.NodeID, 0, len(k.rings))
+	for node := range k.rings {
+		out = append(out, node)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// BuildAllRings builds the ring state of every roster pair up front, the
+// way boot did before ring state became lazy.
+func (k *Kernel) BuildAllRings() {
+	for i, s := range k.roster {
+		if s.wired {
+			k.peerOf(packet.NodeID(i))
+		}
+	}
+}

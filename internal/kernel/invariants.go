@@ -23,12 +23,15 @@ import (
 func (k *Kernel) CheckInvariants() error {
 	table := k.nic.Table()
 
-	// Ring pages are exempt from the record accounting.
+	// Ring pages are exempt from the record accounting: every pair in
+	// the boot roster, whether or not its ring state was ever built.
 	ringOut := make(map[phys.PageNum]bool)
 	ringIn := make(map[phys.PageNum]bool)
-	for _, p := range k.peers {
-		ringOut[p.outFrame] = true
-		ringIn[p.inFrame] = true
+	for _, s := range k.roster {
+		if s.wired {
+			ringOut[s.outFrame] = true
+			ringIn[s.inFrame] = true
+		}
 	}
 
 	// Index live export records by frame+segment-start.

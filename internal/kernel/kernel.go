@@ -107,9 +107,13 @@ type Kernel struct {
 	free    []phys.PageNum
 	swap    map[swapKey][]byte
 
-	peers     map[packet.NodeID]*peer
-	peerOrder []packet.NodeID                // AddPeer order (ascending at boot): deterministic sweeps
-	ringOwner map[phys.PageNum]packet.NodeID // inbox frame -> peer
+	// roster is the boot-wired ring pair to each node, indexed by node
+	// id; inboxPeer maps an inbox frame to its sender (node id + 1, 0
+	// for frames that are not ring inboxes). Both are plain data: the
+	// per-peer ring state in rings is built on first use (see peerOf).
+	roster    []ringSlot
+	inboxPeer []int32
+	rings     map[packet.NodeID]*peer
 	pending   map[uint32]*Future
 	// pendingDst records each pending RPC's destination so a peer-down
 	// declaration can resolve exactly the futures that will never be
@@ -167,11 +171,10 @@ func New(eng *sim.Engine, cfg Config, id packet.NodeID, coord packet.Coord,
 	k := &Kernel{
 		eng: eng, dom: sim.DomNode(int(id)), cfg: cfg, id: id, coord: coord,
 		mem: mem, xbus: xbus, nic: n, cpu: cpu, box: box,
-		procs:     make(map[int]*Process),
-		nextPID:   1,
-		swap:      make(map[swapKey][]byte),
-		peers:      make(map[packet.NodeID]*peer),
-		ringOwner:  make(map[phys.PageNum]packet.NodeID),
+		procs:      make(map[int]*Process),
+		nextPID:    1,
+		swap:       make(map[swapKey][]byte),
+		rings:      make(map[packet.NodeID]*peer),
 		pending:    make(map[uint32]*Future),
 		pendingDst: make(map[uint32]packet.NodeID),
 		down:       make(map[packet.NodeID]*fault.PeerDown),
@@ -189,17 +192,18 @@ func New(eng *sim.Engine, cfg Config, id packet.NodeID, coord packet.Coord,
 
 // Reset returns the kernel to its just-constructed state: no processes,
 // no peers or rings, no pending RPCs, no mapping records, scheduler
-// idle, zeroed statistics. Maps are cleared in place so their buckets
-// are reused. The machine constructor's boot steps (AddPeer,
-// SetFreePages) must be re-run afterwards, exactly as after New.
+// idle, zeroed statistics. Maps and the ring roster are cleared in place
+// so their storage is reused. The machine constructor's boot steps
+// (AddPeer, SetFreePages) must be re-run afterwards, exactly as after
+// New.
 func (k *Kernel) Reset() {
 	clear(k.procs)
 	k.nextPID = 1
 	k.free = nil
 	clear(k.swap)
-	clear(k.peers)
-	k.peerOrder = k.peerOrder[:0]
-	clear(k.ringOwner)
+	clear(k.roster)
+	clear(k.inboxPeer)
+	clear(k.rings)
 	clear(k.pending)
 	clear(k.pendingDst)
 	clear(k.down)
@@ -344,14 +348,17 @@ func (p *Process) FrameOf(va vm.VAddr) (phys.PageNum, bool) {
 // memory through the cache. The kernel swaps CurrentAS on a context
 // switch; the network interface needs no action (Figure 3).
 //
-// Translation goes through a small direct-mapped micro-TLB. The TLB is
-// purely a host-side accelerator — Translate carries no simulated cost,
-// so caching it must never change behavior. Each entry is tagged with
-// the owning address space and that table's generation counter
+// Translation goes through a small direct-mapped micro-TLB, shared by
+// the CPU and the harness accessors (core.Node's UserRead32 and
+// friends), which translate for any process through Translate. The TLB
+// is purely a host-side accelerator — translation carries no simulated
+// cost, so caching it must never change behavior. Each entry is tagged
+// with the owning address space and that table's generation counter
 // (vm.AddressSpace.Gen), which advances on every Map, Unmap, and
 // SetWritable: a remap or protection change leaves stale entries
-// unmatchable by construction, and a context switch misses via the
-// address-space tag.
+// unmatchable by construction, and an access for another address space
+// (a context switch, or the harness reading a process that is not
+// running) misses via the address-space tag.
 type MemBox struct {
 	Cache     *cache.Cache
 	CurrentAS *vm.AddressSpace
@@ -368,6 +375,7 @@ type tlbEntry struct {
 	vpn      vm.VPN
 	base     phys.PAddr // physical base of the page (command offset folded in)
 	wt       bool       // page is write-through (or command)
+	cmd      bool       // page maps a NIC command page
 	writable bool
 }
 
@@ -376,50 +384,62 @@ type tlbEntry struct {
 // Reset so no entry outlives its address space object.
 func (b *MemBox) InvalidateTLB() { b.tlb = [tlbSlots]tlbEntry{} }
 
-func (b *MemBox) slot(vpn vm.VPN) *tlbEntry { return &b.tlb[uint32(vpn)&(tlbSlots-1)] }
+// TLBEntries returns the number of filled micro-TLB slots (diagnostics
+// and tests).
+func (b *MemBox) TLBEntries() int {
+	n := 0
+	for i := range b.tlb {
+		if b.tlb[i].as != nil {
+			n++
+		}
+	}
+	return n
+}
 
-func (b *MemBox) fill(e *tlbEntry, a vm.VAddr, tr vm.Translation) {
-	pte, _ := b.CurrentAS.Lookup(a.Page())
+// Translate resolves a in address space as for a read or write, serving
+// it from the micro-TLB when it can and filling the TLB when it cannot.
+// Faults are exactly those of as.Translate: a write hits the TLB only on
+// an entry whose page was writable when it was filled, so protection
+// faults (the §4.4 invalidation protocol depends on them) still surface.
+func (b *MemBox) Translate(as *vm.AddressSpace, a vm.VAddr, write bool) (vm.Translation, *vm.Fault) {
+	vpn := a.Page()
+	e := &b.tlb[uint32(vpn)&(tlbSlots-1)]
+	if e.as == as && as != nil && e.vpn == vpn && (e.writable || !write) && e.gen == as.Gen() {
+		return vm.Translation{PA: e.base + phys.PAddr(a.Offset()), WriteThrough: e.wt, Command: e.cmd}, nil
+	}
+	tr, f := as.Translate(a, write)
+	if f != nil {
+		return tr, f
+	}
+	pte, _ := as.Lookup(vpn)
 	*e = tlbEntry{
-		as:       b.CurrentAS,
-		gen:      b.CurrentAS.Gen(),
-		vpn:      a.Page(),
+		as:       as,
+		gen:      as.Gen(),
+		vpn:      vpn,
 		base:     tr.PA - phys.PAddr(a.Offset()),
 		wt:       tr.WriteThrough,
+		cmd:      tr.Command,
 		writable: pte.Writable,
 	}
+	return tr, nil
 }
 
 // Load implements isa.MemPort.
 func (b *MemBox) Load(a vm.VAddr, size int) (uint32, sim.Time, *vm.Fault) {
-	vpn := a.Page()
-	if e := b.slot(vpn); e.as != nil && e.as == b.CurrentAS && e.vpn == vpn && e.gen == b.CurrentAS.Gen() {
-		v, t := b.Cache.Load(e.base+phys.PAddr(a.Offset()), size)
-		return v, t, nil
-	}
-	tr, f := b.CurrentAS.Translate(a, false)
+	tr, f := b.Translate(b.CurrentAS, a, false)
 	if f != nil {
 		return 0, 0, f
 	}
-	b.fill(b.slot(vpn), a, tr)
 	v, t := b.Cache.Load(tr.PA, size)
 	return v, t, nil
 }
 
-// Store implements isa.MemPort. A TLB hit requires the writable bit:
-// entries filled by loads on read-only pages take the slow path so
-// protection faults (the §4.4 invalidation protocol depends on them)
-// still surface.
+// Store implements isa.MemPort.
 func (b *MemBox) Store(a vm.VAddr, v uint32, size int) (sim.Time, *vm.Fault) {
-	vpn := a.Page()
-	if e := b.slot(vpn); e.as != nil && e.as == b.CurrentAS && e.vpn == vpn && e.writable && e.gen == b.CurrentAS.Gen() {
-		return b.Cache.Store(e.base+phys.PAddr(a.Offset()), v, size, e.wt), nil
-	}
-	tr, f := b.CurrentAS.Translate(a, true)
+	tr, f := b.Translate(b.CurrentAS, a, true)
 	if f != nil {
 		return 0, f
 	}
-	b.fill(b.slot(vpn), a, tr)
 	return b.Cache.Store(tr.PA, v, size, tr.WriteThrough), nil
 }
 
@@ -433,7 +453,7 @@ func (b *MemBox) SpinAccount(iters, loads uint64) { b.Cache.SpinAccount(iters, l
 
 // CmpxchgLocked implements isa.MemPort (§4.3 command protocol).
 func (b *MemBox) CmpxchgLocked(a vm.VAddr, expect, repl uint32) (uint32, bool, sim.Time, *vm.Fault) {
-	tr, f := b.CurrentAS.Translate(a, true)
+	tr, f := b.Translate(b.CurrentAS, a, true)
 	if f != nil {
 		return 0, false, 0, f
 	}

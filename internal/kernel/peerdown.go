@@ -120,7 +120,7 @@ func (k *Kernel) HandlePeerDown(pd *fault.PeerDown) {
 
 	// 4. Control records queued behind the ring credit window would
 	// otherwise sit forever: the dead node returns no more credits.
-	if p := k.peers[d]; p != nil {
+	if p := k.rings[d]; p != nil {
 		p.backlog = nil
 	}
 
@@ -137,11 +137,12 @@ func (k *Kernel) HandlePeerDown(pd *fault.PeerDown) {
 // node. Peers with backlogged records are skipped; their queued traffic
 // already exercises the detector.
 func (k *Kernel) Heartbeat() {
-	for _, node := range k.peerOrder {
-		if k.down[node] != nil {
+	for i := range k.roster {
+		node := packet.NodeID(i)
+		if !k.roster[i].wired || k.down[node] != nil {
 			continue
 		}
-		p := k.peers[node]
+		p := k.peerOf(node)
 		if len(p.backlog) > 0 {
 			continue
 		}

@@ -62,9 +62,22 @@ func (k *Kernel) ringHeader() uint32 {
 	return ringHeaderBytes
 }
 
+// ringSlot is one roster entry: the boot-wired ring pair with a node.
+type ringSlot struct {
+	coord    packet.Coord
+	outFrame phys.PageNum // local outbox, mapped out to the node's inbox
+	inFrame  phys.PageNum // local inbox the node's outbox maps onto
+	wired    bool
+}
+
+// peer is the ring state of one pair, built from the roster the first
+// time the ring is used: a send, an arrival interrupt, or a heartbeat.
+// Until then the pair is at its boot state (cursors 0, sequence 1),
+// which is what a fresh peer starts with, so building it late is
+// unobservable — and a 1,024-node machine, whose kernels use a handful
+// of their 1,023 rings, does not carry a million idle records.
 type peer struct {
-	node  packet.NodeID
-	coord packet.Coord
+	node packet.NodeID
 
 	outFrame phys.PageNum
 	wcursor  uint32
@@ -83,24 +96,35 @@ type peer struct {
 // AddPeer wires up the ring pair with another node. The machine
 // constructor calls it at boot after installing the NIPT entries for
 // outFrame (mapped out to the peer's inbox) and inFrame (mapped in,
-// kernel-ring, interrupt-on-arrival).
+// kernel-ring, interrupt-on-arrival). It only records the pair in the
+// roster; the ring state is built on first use.
 func (k *Kernel) AddPeer(node packet.NodeID, coord packet.Coord, outFrame, inFrame phys.PageNum) {
-	if _, dup := k.peers[node]; dup {
+	if n := int(node) + 1; n > len(k.roster) {
+		k.roster = append(k.roster, make([]ringSlot, n-len(k.roster))...)
+	}
+	if k.roster[node].wired {
 		panic(fmt.Sprintf("kernel%d: duplicate peer %d", k.id, node))
 	}
-	p := &peer{node: node, coord: coord, outFrame: outFrame, inFrame: inFrame, wseq: 1, rseq: 1}
-	k.peers[node] = p
-	k.peerOrder = append(k.peerOrder, node)
-	k.ringOwner[inFrame] = node
+	k.roster[node] = ringSlot{coord: coord, outFrame: outFrame, inFrame: inFrame, wired: true}
+	if n := int(inFrame) + 1; n > len(k.inboxPeer) {
+		k.inboxPeer = append(k.inboxPeer, make([]int32, n-len(k.inboxPeer))...)
+	}
+	k.inboxPeer[inFrame] = int32(node) + 1
 }
 
-// Peers returns the node ids this kernel has rings with.
-func (k *Kernel) Peers() []packet.NodeID {
-	out := make([]packet.NodeID, 0, len(k.peers))
-	for id := range k.peers {
-		out = append(out, id)
+// peerOf returns the ring state for node, building it from the roster
+// on first use. It panics if no ring to node was wired at boot.
+func (k *Kernel) peerOf(node packet.NodeID) *peer {
+	if p := k.rings[node]; p != nil {
+		return p
 	}
-	return out
+	if node < 0 || int(node) >= len(k.roster) || !k.roster[node].wired {
+		panic(fmt.Sprintf("kernel%d: no ring to node %d", k.id, node))
+	}
+	s := &k.roster[node]
+	p := &peer{node: node, outFrame: s.outFrame, inFrame: s.inFrame, wseq: 1, rseq: 1}
+	k.rings[node] = p
+	return p
 }
 
 // ringSend queues one record for the peer, respecting the credit window
@@ -195,11 +219,10 @@ func (k *Kernel) ringAck(p *peer, cumulative uint64) {
 func (k *Kernel) handleNICIRQ(cause nic.IRQCause, page phys.PageNum) {
 	switch cause {
 	case nic.IRQKernelRing:
-		node, ok := k.ringOwner[page]
-		if !ok {
+		if int(page) >= len(k.inboxPeer) || k.inboxPeer[page] == 0 {
 			panic(fmt.Sprintf("kernel%d: ring IRQ for unknown page %d", k.id, page))
 		}
-		k.drainRing(k.peers[node])
+		k.drainRing(k.peerOf(packet.NodeID(k.inboxPeer[page] - 1)))
 	case nic.IRQRecv:
 		if k.OnUserRecvIRQ != nil {
 			k.OnUserRecvIRQ(page)

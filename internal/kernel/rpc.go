@@ -110,14 +110,6 @@ func (k *Kernel) deadRequest(dst packet.NodeID) *Future {
 	return f
 }
 
-func (k *Kernel) peerOf(node packet.NodeID) *peer {
-	p, ok := k.peers[node]
-	if !ok {
-		panic(fmt.Sprintf("kernel%d: no ring to node %d", k.id, node))
-	}
-	return p
-}
-
 // --- wire helpers ---
 
 type wire struct{ b []byte }

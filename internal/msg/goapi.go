@@ -307,7 +307,7 @@ func (b *BlockSender) Send(off, nbytes int) error {
 			chunk = nbytes
 		}
 		cmdVA := b.sendVA + CmdDelta + vm.VAddr(off)
-		tr, f := b.snd.Proc.AS.Translate(cmdVA, true)
+		tr, f := b.snd.Node.Box.Translate(b.snd.Proc.AS, cmdVA, true)
 		if f != nil {
 			return f
 		}
@@ -330,7 +330,7 @@ func (b *BlockSender) Send(off, nbytes int) error {
 // Done reports whether the DMA engine has finished (the 2-instruction
 // §4.3 status check).
 func (b *BlockSender) Done() bool {
-	tr, f := b.snd.Proc.AS.Translate(b.sendVA+CmdDelta, false)
+	tr, f := b.snd.Node.Box.Translate(b.snd.Proc.AS, b.sendVA+CmdDelta, false)
 	if f != nil {
 		return false
 	}

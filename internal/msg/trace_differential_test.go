@@ -1,6 +1,9 @@
 package msg
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/obs"
+	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -399,5 +403,160 @@ func TestRemapInvalidatesStaleTranslation(t *testing.T) {
 	}
 	if v, _ := p.S.Cache.Load(oldPTE.Frame.Addr(0), 4); v != 0x11111111 {
 		t.Fatalf("store after remap hit the stale frame: old frame now %#x", v)
+	}
+}
+
+// TestHostPathTLBInvalidation is the harness-side counterpart: the
+// host accessors (UserRead32, UserWrite32, UserReadBytes) translate
+// through the same micro-TLB as the CPU, so a §4.4 protection change,
+// an unmap and a remap must each reach them, and no entry may survive
+// Machine.Reset. On the partitioned machine the receiver's CPU runs a
+// store/load loop on a partition worker, filling the shared TLB inside
+// cluster rounds while the harness fills it between them (run it under
+// -race).
+func TestHostPathTLBInvalidation(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			cfg := core.ConfigFor(2, 1, nic.GenEISAPrototype)
+			cfg.Partitions = parts
+			p := PairOn(core.New(cfg), 0, 1)
+			defer p.M.Close()
+			n, proc := p.R, p.PR
+			buf, err := proc.AllocPages(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spare, err := proc.AllocPages(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pattern := func(seed byte) []byte {
+				b := make([]byte, phys.PageSize)
+				for i := range b {
+					b[i] = seed + byte(i*7)
+				}
+				return b
+			}
+			for i, va := range []vm.VAddr{buf, buf + phys.PageSize, spare} {
+				if err := n.UserWriteBytes(proc, va, pattern(byte(i+1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The CPU loop: 200 iterations of a load from the private
+			// page and a store to a page mapped back to the sender. The
+			// stores' packets keep the cluster's parallel windows short,
+			// so the loop spans many rounds.
+			sOut, rOut := p.MapBuf("OUT", 1, 1, nipt.SingleWriteAU)
+			p.MapBack(sOut, rOut, 1, nipt.SingleWriteAU)
+			prog := isa.MustAssembleCached("tlb-loop", `
+loop:
+	mov	eax, [PRIV]
+	mov	dword [OUT], ecx
+	dec	ecx
+	jnz	loop
+	hlt
+`, p.RSyms)
+			n.K.BindProcess(proc)
+			n.CPU.Load(prog)
+			n.CPU.R = [8]uint32{isa.ECX: 200, isa.ESP: uint32(p.RSyms["STKTOP"])}
+			if err := n.CPU.Start("loop"); err != nil {
+				t.Fatal(err)
+			}
+			want := append(pattern(1), pattern(2)...)
+			got := make([]byte, 2*phys.PageSize)
+			advance := func() {
+				if p.M.Clu == nil {
+					p.M.RunFor(sim.Microsecond)
+					return
+				}
+				// Parallel rounds: the receiver's partition worker fires
+				// the CPU's events.
+				if err := p.M.Clu.DrainBudget(16); err != nil && !errors.Is(err, sim.ErrBudget) {
+					t.Fatal(err)
+				}
+			}
+			rounds := 0
+			for ; rounds < 50 && !n.CPU.Halted(); rounds++ {
+				advance()
+				if err := n.UserReadBytes(proc, buf, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("round %d: host read of the buffer diverged", rounds)
+				}
+			}
+			if rounds < 10 {
+				t.Fatalf("CPU loop halted after %d harness rounds, want it running through 10", rounds)
+			}
+
+			// Protection: a read-filled entry, then a write-filled one,
+			// must both stop serving writes once the page is read-only.
+			for _, warmWrite := range []bool{false, true} {
+				if !proc.AS.SetWritable(buf.Page(), true) {
+					t.Fatal("no PTE for the buffer")
+				}
+				if warmWrite {
+					if err := n.UserWrite32(proc, buf, 0x5a5a5a5a); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := n.UserRead32(proc, buf); err != nil {
+					t.Fatal(err)
+				}
+				proc.AS.SetWritable(buf.Page(), false)
+				// The second store follows a read that cached the
+				// read-only translation: the entry's writable bit must
+				// turn the store away.
+				for try := 0; try < 2; try++ {
+					var f *vm.Fault
+					if err := n.UserWrite32(proc, buf, 1); !errors.As(err, &f) || f.Reason != vm.Protection {
+						t.Fatalf("store %d to a read-only page (warmed by a write: %v) returned %v, want a protection fault", try, warmWrite, err)
+					}
+					if _, err := n.UserRead32(proc, buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			proc.AS.SetWritable(buf.Page(), true)
+			if err := n.UserWrite32(proc, buf, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			// Unmap, then remap onto the spare page's frame.
+			if err := n.UserReadBytes(proc, buf, got); err != nil {
+				t.Fatal(err)
+			}
+			pte, _ := proc.AS.Lookup(spare.Page())
+			proc.AS.Unmap(buf.Page())
+			var f *vm.Fault
+			if err := n.UserReadBytes(proc, buf, got); !errors.As(err, &f) || f.Reason != vm.NotPresent {
+				t.Fatalf("read of an unmapped page returned %v, want a not-present fault", err)
+			}
+			proc.AS.Map(buf.Page(), vm.PTE{Frame: pte.Frame, Present: true, Writable: true})
+			if err := n.UserReadBytes(proc, buf, got); err != nil {
+				t.Fatal(err)
+			}
+			if want := append(pattern(3), pattern(2)...); !bytes.Equal(got, want) {
+				t.Fatal("read after remap did not see the new frame")
+			}
+
+			p.M.RunUntilIdle(10_000_000)
+			if !n.CPU.Halted() || n.CPU.Err() != nil {
+				t.Fatalf("CPU loop halted=%v err=%v", n.CPU.Halted(), n.CPU.Err())
+			}
+			if v, _ := p.S.UserRead32(p.PS, sOut); v != 1 {
+				t.Fatalf("CPU loop's last store delivered %d, want 1", v)
+			}
+			if n.Box.TLBEntries() == 0 {
+				t.Fatal("nothing filled the TLB")
+			}
+			p.M.Reset()
+			for id, node := range p.M.Nodes {
+				if k := node.Box.TLBEntries(); k != 0 {
+					t.Fatalf("node %d: %d TLB entries survived Reset", id, k)
+				}
+			}
+		})
 	}
 }

@@ -36,9 +36,12 @@ func (p PageNum) Addr(off uint32) PAddr { return PAddr(uint32(p)<<PageShift | of
 // Memory is the DRAM of a single node. Page frames are materialized
 // lazily: a nil frame reads as zeros and is allocated on first write, so
 // building a machine with many nodes does not pay for zeroing DRAM that
-// the workload never touches.
+// the workload never touches. The frame table holds one pointer per
+// page rather than a 24-byte slice header: on a 1,024-node machine with
+// 3,070 pages per node that is 25 MB of table instead of 75 MB, nearly
+// all of it for frames that are never touched.
 type Memory struct {
-	frames [][]byte
+	frames []*[PageSize]byte
 	size   uint32
 }
 
@@ -47,7 +50,7 @@ func NewMemory(pages int) *Memory {
 	if pages <= 0 {
 		panic("phys: memory must have at least one page")
 	}
-	return &Memory{frames: make([][]byte, pages), size: uint32(pages) * PageSize}
+	return &Memory{frames: make([]*[PageSize]byte, pages), size: uint32(pages) * PageSize}
 }
 
 // Pages returns the number of page frames.
@@ -83,10 +86,10 @@ func (m *Memory) check(a PAddr, n int) {
 }
 
 // frame returns the backing store for page p, allocating it on first use.
-func (m *Memory) frame(p int) []byte {
+func (m *Memory) frame(p int) *[PageSize]byte {
 	f := m.frames[p]
 	if f == nil {
-		f = make([]byte, PageSize)
+		f = new([PageSize]byte)
 		m.frames[p] = f
 	}
 	return f
@@ -185,7 +188,7 @@ func (m *Memory) Write8(a PAddr, v byte) {
 func (m *Memory) Reset() {
 	for _, f := range m.frames {
 		if f != nil {
-			clear(f)
+			clear(f[:])
 		}
 	}
 }
@@ -199,6 +202,6 @@ func (m *Memory) ZeroPage(p PageNum) {
 	a := p.Addr(0)
 	m.check(a, PageSize)
 	if f := m.frames[p]; f != nil {
-		clear(f)
+		clear(f[:])
 	}
 }

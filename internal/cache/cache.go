@@ -16,6 +16,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bus"
 	"repro/internal/phys"
@@ -74,7 +75,8 @@ type Cache struct {
 
 	lineMask uint32
 	setMask  uint32
-	setShift uint32
+	setShift uint32 // log2(LineBytes): line offset bits
+	tagShift uint32 // log2(Sets): set index bits above the line offset
 	scratch  [4]byte
 
 	// Spin-probe access counters (see SpinProbe). pureAcc counts only
@@ -104,19 +106,11 @@ func New(eng *sim.Engine, cfg Config, xbus *bus.Xpress) *Cache {
 		c.sets[i] = ways
 	}
 	c.lineMask = uint32(cfg.LineBytes - 1)
-	c.setShift = uint32(trailingZeros(uint32(cfg.LineBytes)))
+	c.setShift = uint32(bits.TrailingZeros32(uint32(cfg.LineBytes)))
+	c.tagShift = uint32(bits.TrailingZeros32(uint32(cfg.Sets)))
 	c.setMask = uint32(cfg.Sets - 1)
 	xbus.AddSnooper(snoopPort{c})
 	return c
-}
-
-func trailingZeros(v uint32) int {
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Stats returns a snapshot of cache statistics.
@@ -163,16 +157,7 @@ func (c *Cache) SpinAccount(iters, loads uint64) {
 
 func (c *Cache) decompose(a phys.PAddr) (set, tag, off uint32) {
 	u := uint32(a)
-	return (u >> c.setShift) & c.setMask, u >> c.setShift >> log2u(uint32(c.cfg.Sets)), u & c.lineMask
-}
-
-func log2u(v uint32) uint32 {
-	var n uint32
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+	return (u >> c.setShift) & c.setMask, u >> c.setShift >> c.tagShift, u & c.lineMask
 }
 
 func (c *Cache) lookup(a phys.PAddr) *line {
@@ -211,7 +196,7 @@ func (c *Cache) victim(a phys.PAddr) *line {
 }
 
 func (c *Cache) lineBase(set, tag uint32) phys.PAddr {
-	return phys.PAddr((tag<<log2u(uint32(c.cfg.Sets)) | set) << c.setShift)
+	return phys.PAddr((tag<<c.tagShift | set) << c.setShift)
 }
 
 // Load reads size (1, 2 or 4) bytes at a, returning the value and the

@@ -425,3 +425,26 @@ func TestLoadBytesRandomRuns(t *testing.T) {
 	}
 	requireSameCache(t, "after random runs", a, b)
 }
+
+// lineBase inverts decompose for every geometry the tag shift covers: a
+// direct-mapped single set, two sets and the default 256, at addresses
+// spread across the whole 32-bit space.
+func TestLineBaseRoundTrip(t *testing.T) {
+	for _, sets := range []int{1, 2, DefaultConfig().Sets} {
+		cfg := DefaultConfig()
+		cfg.Sets = sets
+		eng := sim.NewEngine()
+		c := New(eng, cfg, bus.NewXpress(eng, bus.DefaultXpressConfig(), phys.NewMemory(1)))
+		rng := rand.New(rand.NewSource(int64(sets)))
+		for i := 0; i < 10_000; i++ {
+			a := phys.PAddr(rng.Uint32())
+			if i < 3 {
+				a = []phys.PAddr{0, 0xffffffff, phys.PAddr(cfg.LineBytes * sets)}[i]
+			}
+			set, tag, off := c.decompose(a)
+			if base := c.lineBase(set, tag); base+phys.PAddr(off) != a || uint32(base)&c.lineMask != 0 {
+				t.Fatalf("sets=%d: %#x decomposes to (set %d, tag %#x, off %d), lineBase %#x", sets, uint32(a), set, tag, off, uint32(base))
+			}
+		}
+	}
+}

@@ -6,8 +6,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/bus"
 	"repro/internal/cache"
@@ -494,17 +496,29 @@ func (m *Machine) RunUntilIdle(limit uint64) error {
 }
 
 // Await drives the simulation until the future resolves, then returns
-// its error. A machine check raised while waiting is returned instead;
-// it panics only if the event queue runs dry with no failure recorded.
+// its error. A machine check raised while waiting is returned instead.
+// If the event queue runs dry first, the future's request or reply was
+// lost: when a node has crashed, the error wraps fault.ErrPeerDown and
+// names the dead nodes.
 func (m *Machine) Await(f *kernel.Future) error {
 	ok := m.RunWhile(func() bool { return !f.Done() })
-	if !ok && !f.Done() {
-		if err := m.Failed(); err != nil {
-			return err
-		}
-		panic("core: Await ran out of events before future resolved")
+	if ok || f.Done() {
+		return f.Err()
 	}
-	return f.Err()
+	if err := m.Failed(); err != nil {
+		return err
+	}
+	var dead []string
+	for _, n := range m.Nodes {
+		if n.NIC.Dead() {
+			dead = append(dead, fmt.Sprintf("node %d", n.ID))
+		}
+	}
+	if len(dead) > 0 {
+		return fmt.Errorf("core: Await ran out of events after %s crashed: %w",
+			strings.Join(dead, ", "), fault.ErrPeerDown)
+	}
+	return errors.New("core: Await ran out of events before the future resolved")
 }
 
 // MustMap drives the Map syscall to completion and returns the mapping
@@ -525,9 +539,13 @@ func (m *Machine) MustMap(p *kernel.Process, sendVA vm.VAddr, bytes int,
 // caller experiences the store latency (simulated time advances) and is
 // held while the Outgoing FIFO is above its threshold — the §4 "the CPU
 // is interrupted and waits until the FIFO drains". Go-level examples and
-// tests use it in place of ISA store instructions.
+// tests use it in place of ISA store instructions. It is a one-word
+// UserWriteBytes run.
 func (n *Node) UserWrite32(p *kernel.Process, va vm.VAddr, v uint32) error {
-	return n.userStore(p, va, v, 4)
+	r := storeRun{n: n}
+	err := r.store(p, va, v, 4)
+	r.sync()
+	return err
 }
 
 // enter tags the engine with this node's event domain for the duration
@@ -549,23 +567,6 @@ func (n *Node) enter() sim.Domain {
 		n.Eng.AdvanceTo(n.m.Clu.Now())
 	}
 	return n.Eng.EnterDomain(sim.DomNode(int(n.ID)))
-}
-
-func (n *Node) userStore(p *kernel.Process, va vm.VAddr, v uint32, size int) error {
-	for n.NIC.OutStalled() {
-		if !n.m.Step() {
-			break
-		}
-	}
-	tr, f := n.Box.Translate(p.AS, va, true)
-	if f != nil {
-		return f
-	}
-	prev := n.enter()
-	lat := n.Cache.Store(tr.PA, v, size, tr.WriteThrough)
-	n.Eng.EnterDomain(prev)
-	n.m.RunFor(lat)
-	return nil
 }
 
 // UserRead32 is the load counterpart of UserWrite32.
@@ -605,20 +606,103 @@ func (n *Node) LockedCmpxchg(pa phys.PAddr, expect, repl uint32) (uint32, bool, 
 }
 
 // UserWriteBytes stores a byte slice word by word (tail bytes singly).
+// The simulated effect is exactly that of one UserWrite32 per word: each
+// word waits out a stalled Outgoing FIFO, is translated (an event fired
+// mid-run may have changed the page's protection), is stored through the
+// cache, and then advances simulated time by its latency, firing any
+// event that falls inside it. Only the host cost differs: see storeRun.
 func (n *Node) UserWriteBytes(p *kernel.Process, va vm.VAddr, b []byte) error {
+	r := storeRun{n: n}
+	defer r.sync()
 	i := 0
 	for ; i+4 <= len(b); i += 4 {
-		v := uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
-		if err := n.UserWrite32(p, va+vm.VAddr(i), v); err != nil {
+		if err := r.store(p, va+vm.VAddr(i), binary.LittleEndian.Uint32(b[i:]), 4); err != nil {
 			return err
 		}
 	}
 	for ; i < len(b); i++ {
-		if err := n.userStore(p, va+vm.VAddr(i), uint32(b[i]), 1); err != nil {
+		if err := r.store(p, va+vm.VAddr(i), uint32(b[i]), 1); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// storeRun is the state one run of harness stores keeps across its
+// words. A store's time advance is Machine.RunFor(lat), which on a
+// partitioned machine scans every engine twice and brings each one to
+// the new time. Most words fire no event, so the run advances only the
+// node's own engine while now+lat stays strictly before every pending
+// event on every engine. The other engines' clocks then lag behind the
+// node's; sync brings them level before any event fires and when the
+// run returns, so every observer sees the clocks the per-word RunFor
+// would have left.
+type storeRun struct {
+	n     *Node
+	ahead bool // n.Eng has run ahead of the other engines' clocks
+}
+
+// store issues one word (or tail byte) of the run.
+func (r *storeRun) store(p *kernel.Process, va vm.VAddr, v uint32, size int) error {
+	n := r.n
+	for n.NIC.OutStalled() {
+		r.sync()
+		if !n.m.Step() {
+			break
+		}
+	}
+	tr, f := n.Box.Translate(p.AS, va, true)
+	if f != nil {
+		return f
+	}
+	prev := n.enter()
+	lat := n.Cache.Store(tr.PA, v, size, tr.WriteThrough)
+	n.Eng.EnterDomain(prev)
+	r.advance(lat)
+	return nil
+}
+
+// advance moves simulated time past one store's latency, as
+// Machine.RunFor(lat) would.
+func (r *storeRun) advance(lat sim.Time) {
+	n := r.n
+	if t := n.Eng.Now() + lat; t < r.horizon() {
+		n.Eng.AdvanceTo(t)
+		r.ahead = n.m.Clu != nil
+		return
+	}
+	r.sync()
+	n.m.RunFor(lat)
+}
+
+// horizon returns the earliest pending event on any engine: the node's
+// own, which the store itself may have just scheduled on (merge timer,
+// packet enqueue), and on a partitioned machine the hub and every
+// other partition.
+func (r *storeRun) horizon() sim.Time {
+	m := r.n.m
+	t := r.n.Eng.NextEventAt()
+	if m.Clu != nil {
+		t = min(t, m.Eng.NextEventAt())
+		for _, e := range m.Parts {
+			t = min(t, e.NextEventAt())
+		}
+	}
+	return t
+}
+
+// sync brings the other engines level with the node's clock, where the
+// per-word RunFor would have left them.
+func (r *storeRun) sync() {
+	if !r.ahead {
+		return
+	}
+	r.ahead = false
+	m, t := r.n.m, r.n.Eng.Now()
+	m.Eng.AdvanceTo(t)
+	for _, e := range m.Parts {
+		e.AdvanceTo(t)
+	}
 }
 
 // UserReadBytes loads len(out) bytes from p's virtual memory. The

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/kernel"
 	"repro/internal/nic"
 	"repro/internal/nipt"
 	"repro/internal/phys"
@@ -390,5 +393,21 @@ func TestMachineReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// Await on a future the machine can no longer resolve returns an error
+// instead of panicking: one wrapping fault.ErrPeerDown that names the
+// crashed node when a node has crashed, a plain one when none has.
+func TestAwaitRunsDry(t *testing.T) {
+	m := New(ConfigFor(2, 1, nic.GenEISAPrototype))
+	defer m.Close()
+	if err := m.Await(&kernel.Future{}); err == nil || errors.Is(err, fault.ErrPeerDown) {
+		t.Fatalf("Await with no crash returned %v, want a plain error", err)
+	}
+	m.Node(1).NIC.SetDead()
+	err := m.Await(&kernel.Future{})
+	if !errors.Is(err, fault.ErrPeerDown) || !strings.Contains(err.Error(), "node 1") {
+		t.Fatalf("Await after a crash returned %v, want fault.ErrPeerDown naming node 1", err)
 	}
 }

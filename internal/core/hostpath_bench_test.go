@@ -49,3 +49,46 @@ func BenchmarkUserReadBytes(b *testing.B) {
 		b.Fatal("read back the wrong bytes")
 	}
 }
+
+// BenchmarkUserWriteBytes measures the host store path a Go-API
+// channel's Send takes: 1 KB into a two-page send buffer mapped
+// blocked-write onto another node, each word snooped, merged into
+// packets and carried across the mesh while the run advances time. It
+// must not allocate (ci.sh greps for 0 allocs/op).
+func BenchmarkUserWriteBytes(b *testing.B) {
+	m := New(ConfigFor(2, 1, nic.GenEISAPrototype))
+	src, dst := m.Node(0), m.Node(1)
+	ps, pd := src.K.CreateProcess(), dst.K.CreateProcess()
+	sendVA, err := ps.AllocPages(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recvVA, err := pd.AllocPages(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.MustMap(ps, sendVA, 2*phys.PageSize, dst.ID, pd.PID, recvVA, nipt.BlockedWriteAU)
+	msg := make([]byte, 1024)
+	for i := range msg {
+		msg[i] = byte(i * 13)
+	}
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.UserWriteBytes(ps, sendVA, msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := m.RunUntilIdle(uint64(b.N) * 100_000); err != nil {
+		b.Fatal(err)
+	}
+	out := make([]byte, len(msg))
+	if err := dst.UserReadBytes(pd, recvVA, out); err != nil {
+		b.Fatal(err)
+	}
+	if string(out) != string(msg) {
+		b.Fatal("the receiver holds the wrong bytes")
+	}
+}

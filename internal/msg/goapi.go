@@ -29,13 +29,47 @@ func NewEndpoint(n *core.Node) Endpoint {
 	return Endpoint{Node: n, Proc: n.K.CreateProcess()}
 }
 
+// link is what both channel kinds share: the machine, the two
+// endpoints, and the wait that watches those endpoints for a crash.
+type link struct {
+	m        *core.Machine
+	snd, rcv Endpoint
+}
+
+// await steps the simulation until cond holds. In Survivable fault
+// plans it also watches both kernels' membership views: a channel
+// endpoint declared dead can never set the flag being waited on, so the
+// wait surfaces fault.ErrPeerDown promptly instead of spinning until
+// the queues drain.
+func (c *link) await(cond func() bool) error {
+	down := func() error {
+		if c.snd.Node.K.PeerIsDown(c.rcv.Node.ID) {
+			return fmt.Errorf("msg: channel to node %d: %w", c.rcv.Node.ID, fault.ErrPeerDown)
+		}
+		if c.rcv.Node.K.PeerIsDown(c.snd.Node.ID) {
+			return fmt.Errorf("msg: channel from node %d: %w", c.snd.Node.ID, fault.ErrPeerDown)
+		}
+		return nil
+	}
+	ok := c.m.RunWhile(func() bool { return !cond() && down() == nil })
+	if cond() {
+		return nil
+	}
+	if err := down(); err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("msg: channel deadlock: nothing left to simulate")
+	}
+	return nil
+}
+
 // Channel is a single-buffered, one-way message channel (Figure 5): a
 // send buffer mapped onto a receive buffer with automatic update, and a
 // bidirectional nbytes flag that carries both "message present" and
 // "buffer free".
 type Channel struct {
-	m          *core.Machine
-	snd, rcv   Endpoint
+	link
 	sBuf, rBuf vm.VAddr
 	sFlag      vm.VAddr
 	rFlag      vm.VAddr
@@ -44,7 +78,7 @@ type Channel struct {
 
 // NewChannel builds the channel with a buffer of the given page count.
 func NewChannel(m *core.Machine, snd, rcv Endpoint, pages int) (*Channel, error) {
-	c := &Channel{m: m, snd: snd, rcv: rcv, capacity: pages*phys.PageSize - 4}
+	c := &Channel{link: link{m: m, snd: snd, rcv: rcv}, capacity: pages*phys.PageSize - 4}
 	var err error
 	if c.sBuf, err = snd.Proc.AllocPages(pages); err != nil {
 		return nil, err
@@ -74,34 +108,6 @@ func NewChannel(m *core.Machine, snd, rcv Endpoint, pages int) (*Channel, error)
 		return nil, err
 	}
 	return c, nil
-}
-
-// await steps the simulation until cond holds. In Survivable fault
-// plans it also watches both kernels' membership views: a channel
-// endpoint declared dead can never set the flag being waited on, so the
-// wait surfaces fault.ErrPeerDown promptly instead of spinning until
-// the queues drain.
-func (c *Channel) await(cond func() bool) error {
-	down := func() error {
-		if c.snd.Node.K.PeerIsDown(c.rcv.Node.ID) {
-			return fmt.Errorf("msg: channel to node %d: %w", c.rcv.Node.ID, fault.ErrPeerDown)
-		}
-		if c.rcv.Node.K.PeerIsDown(c.snd.Node.ID) {
-			return fmt.Errorf("msg: channel from node %d: %w", c.snd.Node.ID, fault.ErrPeerDown)
-		}
-		return nil
-	}
-	ok := c.m.RunWhile(func() bool { return !cond() && down() == nil })
-	if cond() {
-		return nil
-	}
-	if err := down(); err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("msg: channel deadlock: nothing left to simulate")
-	}
-	return nil
 }
 
 // Send blocks (in simulated time) until the buffer is free, writes the
@@ -153,8 +159,7 @@ func (c *Channel) Recv() ([]byte, error) {
 // transmission of message i+1 (loop case 3: all synchronization carried
 // by messages).
 type DoubleChannel struct {
-	m        *core.Machine
-	snd, rcv Endpoint
+	link
 	sBuf     [2]vm.VAddr
 	rBuf     [2]vm.VAddr
 	sIdx     int
@@ -168,7 +173,7 @@ const dblFlagOff = phys.PageSize - 4 // flag is the last word of each buffer's f
 // NewDoubleChannel builds the two buffers (pages each) with
 // complementary mappings so the consumed signal propagates back.
 func NewDoubleChannel(m *core.Machine, snd, rcv Endpoint, pages int) (*DoubleChannel, error) {
-	c := &DoubleChannel{m: m, snd: snd, rcv: rcv, pages: pages,
+	c := &DoubleChannel{link: link{m: m, snd: snd, rcv: rcv}, pages: pages,
 		capacity: pages*phys.PageSize - 4}
 	for i := 0; i < 2; i++ {
 		var err error
@@ -208,8 +213,8 @@ func (c *DoubleChannel) Send(b []byte) error {
 		v, err := c.snd.Node.UserRead32(c.snd.Proc, flag)
 		return err == nil && v == 0
 	}
-	if ok := c.m.RunWhile(func() bool { return !free() }); !ok && !free() {
-		return fmt.Errorf("msg: double channel deadlock on send")
+	if err := c.await(free); err != nil {
+		return err
 	}
 	if err := c.snd.Node.UserWriteBytes(c.snd.Proc, buf, b); err != nil {
 		return err
@@ -236,8 +241,8 @@ func (c *DoubleChannel) Recv() ([]byte, error) {
 		n = v
 		return v != 0
 	}
-	if ok := c.m.RunWhile(func() bool { return !arrived() }); !ok && !arrived() {
-		return nil, fmt.Errorf("msg: double channel deadlock on recv")
+	if err := c.await(arrived); err != nil {
+		return nil, err
 	}
 	out := make([]byte, n)
 	if err := c.rcv.Node.UserReadBytes(c.rcv.Proc, buf, out); err != nil {

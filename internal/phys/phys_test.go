@@ -132,3 +132,25 @@ func TestCommandSpace(t *testing.T) {
 		m.PageForCmd(50)
 	}()
 }
+
+// A 4-byte Write equals four Write8s wherever it lands: inside a page,
+// flush against the page end, and straddling into the next page,
+// including over a frame that was never materialized.
+func TestWriteWordMatchesBytes(t *testing.T) {
+	word := []byte{0xa1, 0xb2, 0xc3, 0xd4}
+	for _, off := range []int{0, 4092, 4093, 4094, 4095} {
+		got, want := NewMemory(3), NewMemory(3)
+		a := PAddr(PageSize + off)
+		got.Write(a, word)
+		for i, b := range word {
+			want.Write8(a+PAddr(i), b)
+		}
+		g, w := got.Read(0, 3*PageSize), want.Read(0, 3*PageSize)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("4-byte Write at page offset %d differs from byte writes", off)
+		}
+		if got.Read32(a) != 0xd4c3b2a1 {
+			t.Fatalf("Read32 at page offset %d = %#x", off, got.Read32(a))
+		}
+	}
+}

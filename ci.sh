@@ -5,6 +5,7 @@
 set -eux
 
 go vet ./...
+test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
 go test -run '^$' -bench BenchmarkEngine -benchtime 100x ./internal/sim
@@ -30,6 +31,17 @@ go run -race ./cmd/shrimp-bench -iters 1 -only mesh/par -mesh 8x8 -partitions 1,
 GOMAXPROCS=1 go test -race -count 1 -run 'TestLoadBytes|TestHostPathTLB|TestLazyRing' ./internal/cache ./internal/msg ./internal/kernel
 GOMAXPROCS=2 go test -race -count 1 -run 'TestLoadBytes|TestHostPathTLB|TestLazyRing' ./internal/cache ./internal/msg ./internal/kernel
 go test -run '^$' -bench 'BenchmarkUserReadBytes' -benchtime 1000x -benchmem ./internal/core | grep 'BenchmarkUserReadBytes' | grep -q ' 0 allocs/op'
+# Boot-state guards. NIPT chunks (whose kernel-ring entries are their
+# power-on contents) and cache lines are built on first touch, and the
+# ring layout is computed from node ids: a fresh machine, a Reset one
+# and one with all of that built up front must run an E2 point, a
+# Survivable heartbeat run and a paging churn identically; the NIPT's
+# power-on, Reset and audit contracts and the cache's unbuilt-set
+# behaviour hold on their own. Reset reuses everything it clears, so
+# it must not touch the heap.
+GOMAXPROCS=1 go test -race -count 1 -run 'TestLazyBoot|TestLazyLines|TestBoot' ./internal/cache ./internal/nipt
+GOMAXPROCS=2 go test -race -count 1 -run 'TestLazyBoot|TestLazyLines|TestBoot' ./internal/cache ./internal/nipt
+go test -run '^$' -bench 'BenchmarkMachineReset' -benchtime 1000x -benchmem ./internal/core | grep 'BenchmarkMachineReset' | grep -q ' 0 allocs/op'
 # Store-path guards. UserWriteBytes and UserWrite32 must leave every
 # node's stats, the mesh, the event count and every engine's clock
 # exactly where the per-word RunFor reference does (also on partitioned

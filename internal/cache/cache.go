@@ -91,20 +91,10 @@ func New(eng *sim.Engine, cfg Config, xbus *bus.Xpress) *Cache {
 	if cfg.Sets&(cfg.Sets-1) != 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: sets and line size must be powers of two")
 	}
-	c := &Cache{eng: eng, cfg: cfg, xbus: xbus}
-	// One backing array for all lines and one for all line data: three
-	// allocations per cache instead of Sets*(Ways+1).
-	c.sets = make([][]line, cfg.Sets)
-	lines := make([]line, cfg.Sets*cfg.Ways)
-	data := make([]byte, cfg.Sets*cfg.Ways*cfg.LineBytes)
-	for i := range c.sets {
-		ways := lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		for w := range ways {
-			base := (i*cfg.Ways + w) * cfg.LineBytes
-			ways[w].data = data[base : base+cfg.LineBytes : base+cfg.LineBytes]
-		}
-		c.sets[i] = ways
-	}
+	// Only the set headers: the lines and their data are built the first
+	// time the cache needs a way (victim). Until then every set is
+	// empty, so lookups miss and invalidations find nothing.
+	c := &Cache{eng: eng, cfg: cfg, xbus: xbus, sets: make([][]line, cfg.Sets)}
 	c.lineMask = uint32(cfg.LineBytes - 1)
 	c.setShift = uint32(bits.TrailingZeros32(uint32(cfg.LineBytes)))
 	c.tagShift = uint32(bits.TrailingZeros32(uint32(cfg.Sets)))
@@ -117,9 +107,9 @@ func New(eng *sim.Engine, cfg Config, xbus *bus.Xpress) *Cache {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset invalidates every line and zeroes the LRU clock and statistics,
-// returning the cache to its just-built state. Line data arrays are
-// retained (an invalid line's contents are unobservable), so a reset
-// cache allocates nothing.
+// returning the cache to its just-built state. Built lines are retained
+// (an invalid line's contents are unobservable), so a reset cache
+// allocates nothing.
 func (c *Cache) Reset() {
 	for _, ways := range c.sets {
 		for w := range ways {
@@ -173,9 +163,13 @@ func (c *Cache) lookup(a phys.PAddr) *line {
 	return nil
 }
 
-// victim picks the LRU way of a's set, writing it back if dirty.
+// victim picks the LRU way of a's set, writing it back if dirty. The
+// first fill builds the cache's lines.
 func (c *Cache) victim(a phys.PAddr) *line {
 	set, _, _ := c.decompose(a)
+	if len(c.sets[set]) == 0 {
+		c.buildLines()
+	}
 	v := &c.sets[set][0]
 	for i := range c.sets[set] {
 		l := &c.sets[set][i]
@@ -193,6 +187,23 @@ func (c *Cache) victim(a phys.PAddr) *line {
 		v.dirty = false
 	}
 	return v
+}
+
+// buildLines allocates every set's ways, all invalid: one backing
+// array for the lines and one for their data, two allocations per cache
+// instead of Sets*(Ways+1).
+func (c *Cache) buildLines() {
+	ways, lb := c.cfg.Ways, c.cfg.LineBytes
+	lines := make([]line, c.cfg.Sets*ways)
+	data := make([]byte, c.cfg.Sets*ways*lb)
+	for i := range c.sets {
+		set := lines[i*ways : (i+1)*ways : (i+1)*ways]
+		for w := range set {
+			base := (i*ways + w) * lb
+			set[w].data = data[base : base+lb : base+lb]
+		}
+		c.sets[i] = set
+	}
 }
 
 func (c *Cache) lineBase(set, tag uint32) phys.PAddr {

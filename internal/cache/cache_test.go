@@ -448,3 +448,71 @@ func TestLineBaseRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyLines pins the first-fill contract: a cache that has never
+// filled a line misses every lookup, finds nothing to invalidate, flush
+// or write back, and reports exactly the statistics, bus traffic and
+// values of one whose lines were all built (empty) up front. Only a
+// fill builds the lines; write-through store misses, snoops, locked
+// RMWs and flushes do not, and Reset keeps them.
+func TestLazyLines(t *testing.T) {
+	lazy, built := newTwin(), newTwin()
+	built.c.BuildLines()
+	if lazy.c.LinesBuilt() {
+		t.Fatal("fresh cache has its lines built")
+	}
+	page := phys.PageNum(3)
+	ops := []func(tw twin) uint32{
+		func(tw twin) uint32 { tw.x.Write32(bus.InitBridge, page.Addr(64), 7); return 0 }, // DMA snoop
+		func(tw twin) uint32 { tw.c.FlushPage(page); tw.c.Flush(); return 0 },
+		func(tw twin) uint32 { return uint32(tw.c.Store(page.Addr(96), 5, 4, true)) }, // write-through miss
+		func(tw twin) uint32 {
+			v, _, _ := tw.c.LockedCmpxchg(page.Addr(64), 7, 8)
+			return v
+		},
+		func(tw twin) uint32 { v, _ := tw.c.Load(page.Addr(64), 4); return v }, // first fill
+		func(tw twin) uint32 { tw.x.Write32(bus.InitBridge, page.Addr(64), 9); return 0 },
+		func(tw twin) uint32 { v, _ := tw.c.Load(page.Addr(64), 4); return v },
+		func(tw twin) uint32 { return uint32(tw.c.Store(page.Addr(128), 6, 4, false)) }, // write-allocate
+		func(tw twin) uint32 { tw.c.FlushPage(page); return 0 },
+	}
+	for i, op := range ops {
+		if a, b := op(lazy), op(built); a != b {
+			t.Fatalf("op %d: lazy returned %#x, built %#x", i, a, b)
+		}
+		if i == 3 {
+			if lazy.c.LinesBuilt() {
+				t.Fatal("snoops, flushes, a locked RMW and a write-through miss built the lines")
+			}
+			requireSameTraffic(t, "before the first fill", lazy, built)
+		}
+	}
+	if !lazy.c.LinesBuilt() {
+		t.Fatal("a fill did not build the lines")
+	}
+	requireSameTraffic(t, "after fills", lazy, built)
+	lazy.c.Reset()
+	if !lazy.c.LinesBuilt() {
+		t.Fatal("Reset dropped the built lines")
+	}
+}
+
+// requireSameTraffic compares what the two caches showed the outside:
+// statistics, spin-probe counters, bus activity and its write log.
+func requireSameTraffic(t *testing.T, what string, a, b twin) {
+	t.Helper()
+	if a.c.Stats() != b.c.Stats() {
+		t.Fatalf("%s: stats %+v, built %+v", what, a.c.Stats(), b.c.Stats())
+	}
+	pa, aa := a.c.SpinProbe()
+	pb, ab := b.c.SpinProbe()
+	if pa != pb || aa != ab {
+		t.Fatalf("%s: spin probe (%d,%d), built (%d,%d)", what, pa, aa, pb, ab)
+	}
+	if a.x.Stats() != b.x.Stats() || a.x.BusyUntil() != b.x.BusyUntil() {
+		t.Fatalf("%s: bus %+v, built %+v", what, a.x.Stats(), b.x.Stats())
+	}
+	if !slices.Equal(a.log.writes, b.log.writes) {
+		t.Fatalf("%s: bus writes %#x, built %#x", what, a.log.writes, b.log.writes)
+	}
+}

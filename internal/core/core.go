@@ -154,7 +154,8 @@ type Machine struct {
 	Rec       *obs.Recorder   // nil unless Config.Recorder armed
 	Faults    *fault.Injector // nil unless Config.Faults.Enabled()
 
-	wd *watchdog // nil unless Config.Watchdog armed
+	wd     *watchdog      // nil unless Config.Watchdog armed
+	coords []packet.Coord // node id → mesh coordinates, shared by every kernel's ring layout
 }
 
 // CoordOf maps a node id to its mesh coordinates (row-major).
@@ -177,6 +178,10 @@ func New(cfg Config) *Machine {
 	eng := sim.NewEngine()
 	net := mesh.New(eng, cfg.Mesh)
 	m := &Machine{Eng: eng, Cfg: cfg, Net: net}
+	m.coords = make([]packet.Coord, cfg.NodeCount())
+	for id := range m.coords {
+		m.coords[id] = cfg.CoordOf(packet.NodeID(id))
+	}
 	if cfg.Partitions > 1 {
 		m.Parts = make([]*sim.Engine, cfg.Partitions)
 		for i := range m.Parts {
@@ -209,8 +214,7 @@ func New(cfg Config) *Machine {
 		net.SetFaults(m.Faults)
 	}
 
-	for id := 0; id < cfg.NodeCount(); id++ {
-		coord := cfg.CoordOf(packet.NodeID(id))
+	for id, coord := range m.coords {
 		nodeEng := eng
 		var nodeNet nic.Network = net
 		if m.Clu != nil {
@@ -228,13 +232,16 @@ func New(cfg Config) *Machine {
 		}
 		ch := cache.New(nodeEng, cfg.Cache, xbus)
 		table := nipt.New(cfg.MemPagesPerNode)
+		// The boot firmware's NIPT writes, as the table's power-on
+		// contents: the kernel ring pages are its only mappings not
+		// established through map().
+		table.SetBoot(func(p phys.PageNum) nipt.Entry { return kernel.BootEntry(m.coords, id, p) })
 		nicDev := nic.New(nodeEng, cfg.NIC, packet.NodeID(id), coord, table, xbus, eisaBus, nodeNet)
 		if m.Clu != nil {
 			nicDev.SetFabricEngine(eng)
 		}
 		box := &kernel.MemBox{Cache: ch}
 		cpu := isa.NewCPU(nodeEng, cfg.CPU, box)
-		cpu.SetName(fmt.Sprintf("cpu%d", id))
 		cpu.SetDom(sim.DomNode(id))
 		k := kernel.New(nodeEng, cfg.Kernel, packet.NodeID(id), coord, mem, xbus, nicDev, cpu, box)
 		nicDev.Tracer = m.Tracer
@@ -333,72 +340,16 @@ func (p *machinePacer) Pace(deadline, head sim.Time) {
 	}
 }
 
-// installKernelRings reserves the boot pages for kernel↔kernel rings,
-// installs their NIPT mappings directly (the hardware-install substitute
-// for firmware), and seeds each kernel's page allocator with the rest.
+// installKernelRings runs the kernels' boot steps: each kernel learns
+// the ring layout (kernel.RingIndex) and gets the frames above the ring
+// pages for its allocator. The rings' NIPT entries need no install:
+// New made them every table's power-on contents (kernel.BootEntry).
 func (m *Machine) installKernelRings() {
-	n := len(m.Nodes)
-	// Page layout per node: outbox to each peer, then inbox from each
-	// peer, then general allocation.
-	ringPages := 2 * (n - 1)
-	if ringPages >= m.Cfg.MemPagesPerNode {
-		panic("core: not enough memory pages for kernel rings")
-	}
-	outFrame := func(a, b int) phys.PageNum { // outbox on a toward b
-		return phys.PageNum(peerIndex(a, b))
-	}
-	inFrame := func(a, b int) phys.PageNum { // inbox on a from b
-		return phys.PageNum(n - 1 + peerIndex(a, b))
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			na, nb := m.Nodes[a], m.Nodes[b]
-			out, in := outFrame(a, b), inFrame(b, a)
-			// Sender side: the outbox page maps to the peer's inbox
-			// frame, blocked-write (ring records merge nicely), tagged
-			// as a kernel ring so arrivals raise the kernel IRQ.
-			na.NIC.Table().MapOut(out, nipt.OutMapping{
-				Mode:    nipt.BlockedWriteAU,
-				Dst:     nb.Coord,
-				DstNode: nb.ID,
-				DstPage: in,
-			})
-			na.NIC.Table().Entry(out).KernelRing = true
-			// Receiver side.
-			e := nb.NIC.Table().Entry(in)
-			e.MappedIn = true
-			e.KernelRing = true
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			m.Nodes[a].K.AddPeer(m.Nodes[b].ID, m.Nodes[b].Coord,
-				outFrame(a, b), inFrame(a, b))
-		}
-	}
+	ringPages := phys.PageNum(kernel.RingPages(len(m.Nodes)))
 	for _, node := range m.Nodes {
-		free := make([]phys.PageNum, 0, m.Cfg.MemPagesPerNode-ringPages)
-		// Descending so that the allocator (which pops the tail) hands
-		// out ascending frame numbers — friendlier diagnostics.
-		for p := m.Cfg.MemPagesPerNode - 1; p >= ringPages; p-- {
-			free = append(free, phys.PageNum(p))
-		}
-		node.K.SetFreePages(free)
+		node.K.SetRings(m.coords)
+		node.K.SetFreePages(ringPages, phys.PageNum(m.Cfg.MemPagesPerNode))
 	}
-}
-
-// peerIndex numbers a's peers 0..n-2 in node order, skipping a itself.
-func peerIndex(a, b int) int {
-	if b < a {
-		return b
-	}
-	return b - 1
 }
 
 // Node returns node i.

@@ -2,18 +2,22 @@ package core
 
 // Reset tears the machine back down to its post-boot state in place —
 // observationally equivalent to New(m.Cfg) — while reusing every large
-// allocation: DRAM frames, cache arrays, the NIPT, the mesh and its worm
-// pool, the engine's event queue, and the kernels' map buckets. Sweep
-// harnesses that measure many points on the same configuration reuse one
-// machine per worker instead of paying the full construction cost per
-// point (~1,500 allocations / 2.8 MB for a 16-node machine).
+// allocation: DRAM frames, cache lines, NIPT chunks, the mesh and its
+// worm pool, the engine's event queue, the kernels' map buckets and
+// free lists. Sweep harnesses that measure many points on the same
+// configuration reuse one machine per worker instead of paying the full
+// construction cost per point (546 allocations / 0.42 MB for a fresh
+// 16-node EISA machine; Reset allocates nothing, which
+// BenchmarkMachineReset pins).
 //
 // The engine is reset first, discarding any pending events, so Reset is
 // safe even when the previous measurement stopped mid-flight (e.g. a
 // latency probe that returns the instant the data lands, with deposit
 // pipeline events still queued). Component resets then clear all state
-// those events referenced, and the boot "firmware" step re-installs the
-// kernel ring mappings exactly as New does.
+// those events referenced. Boot state costs what was touched: each NIPT
+// refills its built chunks in place with its power-on contents (the
+// kernel ring entries), so no firmware re-walk is needed — only the
+// kernels' boot steps (ring layout, free pages).
 func (m *Machine) Reset() {
 	if m.Clu != nil {
 		m.Clu.Reset() // hub plus every partition engine, and buffered traffic

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/kernel"
 	"repro/internal/packet"
 	"repro/internal/phys"
 )
@@ -53,7 +54,7 @@ func (c Config) Validate() error {
 	if c.Watchdog.Windows < 0 || c.Watchdog.StallBytes < 0 || c.Watchdog.Deadline < 0 {
 		return fmt.Errorf("core: watchdog tunables must be non-negative")
 	}
-	if ring := 2 * (n - 1); ring+8 > c.MemPagesPerNode {
+	if ring := kernel.RingPages(n); ring+8 > c.MemPagesPerNode {
 		return fmt.Errorf("core: %d pages/node cannot hold %d kernel ring pages plus working memory",
 			c.MemPagesPerNode, ring)
 	}

@@ -159,7 +159,6 @@ type CPU struct {
 	goIRQ      map[int]func(c *CPU)
 	pendingIRQ []int
 	counters   Counters
-	name       string
 	scope      *obs.NodeScope // nil when metrics are disabled
 
 	// Superblock trace cache (tracecache.go).
@@ -176,8 +175,15 @@ func NewCPU(eng *sim.Engine, cfg Config, mem MemPort) *CPU {
 	return c
 }
 
-// SetName labels the CPU in diagnostics.
-func (c *CPU) SetName(n string) { c.name = n }
+// label is the CPU's diagnostic name, formatted only when an error
+// needs it: a CPU in a node's domain (SetDom) is named after the node,
+// "cpu3", and any other CPU is "cpu".
+func (c *CPU) label() string {
+	if c.dom > sim.DomHost && c.dom < sim.DomHub {
+		return fmt.Sprintf("cpu%d", c.dom-sim.DomNode(0))
+	}
+	return "cpu"
+}
 
 // SetObs attaches the node's metrics scope (nil detaches). The CPU
 // records batch lengths and hazard-break reasons; recording never
@@ -395,7 +401,7 @@ func (c *CPU) step() {
 			}
 		}
 		if c.eip < 0 || c.eip >= len(c.prog.Instrs) {
-			c.abort(fmt.Errorf("isa: %s: eip %d outside program %q", c.name, c.eip, c.prog.Name))
+			c.abort(fmt.Errorf("isa: %s: eip %d outside program %q", c.label(), c.eip, c.prog.Name))
 			c.endBatch(batched, obs.CtrBatchBreakHalt)
 			return
 		}
@@ -452,7 +458,7 @@ func (c *CPU) step() {
 				action = c.FaultHandler(c, fault)
 			}
 			if action == FaultAbort {
-				c.abort(fmt.Errorf("isa: %s at %q#%d (%s): %w", c.name, c.prog.Name, c.eip, in, fault))
+				c.abort(fmt.Errorf("isa: %s at %q#%d (%s): %w", c.label(), c.prog.Name, c.eip, in, fault))
 				c.endBatch(batched, obs.CtrBatchBreakHalt)
 				return
 			}
@@ -505,11 +511,11 @@ func (c *CPU) dispatchIRQ(vector int) {
 	}
 	target, ok := c.isrs[vector]
 	if !ok {
-		c.abort(fmt.Errorf("isa: %s: unhandled IRQ %d", c.name, vector))
+		c.abort(fmt.Errorf("isa: %s: unhandled IRQ %d", c.label(), vector))
 		return
 	}
 	if _, f := c.push(uint32(c.eip)); f != nil {
-		c.abort(fmt.Errorf("isa: %s: IRQ stack push: %w", c.name, f))
+		c.abort(fmt.Errorf("isa: %s: IRQ stack push: %w", c.label(), f))
 		return
 	}
 	c.kernelMode = true

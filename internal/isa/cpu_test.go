@@ -105,7 +105,6 @@ func run(t *testing.T, src string, mem *flatMem, setup func(*CPU)) *CPU {
 	t.Helper()
 	eng := sim.NewEngine()
 	c := NewCPU(eng, DefaultConfig(), mem)
-	c.SetName("test")
 	p, err := Assemble("test", src, map[string]int64{"STK": 0x8000})
 	if err != nil {
 		t.Fatal(err)
@@ -870,5 +869,18 @@ skip:	hlt
 	// branch penalty (+2 cycles), netting +1 cycle.
 	if eng2.Now() <= notTaken-DefaultConfig().CycleTime {
 		t.Fatalf("taken %v vs not-taken %v: branch penalty missing", eng2.Now(), notTaken)
+	}
+}
+
+// TestCPULabel checks the diagnostic name: a CPU in a node's domain is
+// named after the node, formatted only when an error needs it.
+func TestCPULabel(t *testing.T) {
+	c := NewCPU(sim.NewEngine(), DefaultConfig(), newFlatMem())
+	if got := c.label(); got != "cpu" {
+		t.Fatalf("bare CPU labelled %q, want cpu", got)
+	}
+	c.SetDom(sim.DomNode(3))
+	if got := c.label(); got != "cpu3" {
+		t.Fatalf("node-3 CPU labelled %q, want cpu3", got)
 	}
 }

@@ -12,10 +12,10 @@ import (
 // cache, batched with superblock dispatch, and superblock dispatch with
 // spin fast-forward.
 var traceModes = []struct {
-	name    string
-	batch   int
-	trace   bool
-	spin    bool
+	name  string
+	batch int
+	trace bool
+	spin  bool
 }{
 	{"per-instr", 1, false, false},
 	{"batched", 64, false, false},
@@ -46,7 +46,6 @@ func runTraceMode(t *testing.T, src string, batch int, trace, spin bool,
 	cfg.SpinFastForward = spin
 	mem := newFlatMem()
 	c := NewCPU(eng, cfg, mem)
-	c.SetName("trace-test")
 	c.Load(MustAssemble("trace-test", src, map[string]int64{"STK": 0x8000}))
 	c.R[ESP] = 0x8000
 	if setup != nil {

@@ -17,12 +17,12 @@ func (k *Kernel) RingPeers() []packet.NodeID {
 	return out
 }
 
-// BuildAllRings builds the ring state of every roster pair up front, the
+// BuildAllRings builds the ring state of every boot pair up front, the
 // way boot did before ring state became lazy.
 func (k *Kernel) BuildAllRings() {
-	for i, s := range k.roster {
-		if s.wired {
-			k.peerOf(packet.NodeID(i))
+	for i := range k.coords {
+		if node := packet.NodeID(i); k.hasRing(node) {
+			k.peerOf(node)
 		}
 	}
 }

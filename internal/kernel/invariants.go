@@ -23,16 +23,12 @@ import (
 func (k *Kernel) CheckInvariants() error {
 	table := k.nic.Table()
 
-	// Ring pages are exempt from the record accounting: every pair in
-	// the boot roster, whether or not its ring state was ever built.
-	ringOut := make(map[phys.PageNum]bool)
-	ringIn := make(map[phys.PageNum]bool)
-	for _, s := range k.roster {
-		if s.wired {
-			ringOut[s.outFrame] = true
-			ringIn[s.inFrame] = true
-		}
-	}
+	// Ring pages are exempt from the record accounting: every boot pair,
+	// whether or not its ring state was ever built. Outboxes are frames
+	// [0, peers), inboxes [peers, 2*peers) (see RingIndex).
+	peers := phys.PageNum(max(len(k.coords)-1, 0))
+	ringOut := func(f phys.PageNum) bool { return f < peers }
+	ringIn := func(f phys.PageNum) bool { return f >= peers && f < 2*peers }
 
 	// Index live export records by frame+segment-start.
 	type segKey struct {
@@ -57,7 +53,7 @@ func (k *Kernel) CheckInvariants() error {
 			}
 			owned[sk] = rec
 			// Invariant 1: the segment really is installed.
-			e := table.Entry(frame)
+			e := table.Peek(frame)
 			seg := e.Out(rec.SegmentOffset)
 			if seg.Mode != rec.Seg.Mode || seg.DstPage != rec.Seg.DstPage ||
 				seg.DstNode != rec.Seg.DstNode {
@@ -71,10 +67,11 @@ func (k *Kernel) CheckInvariants() error {
 		}
 	}
 
-	// Invariant 2: walk the whole NIPT.
+	// Invariant 2: walk the whole NIPT. Peek keeps the audit from
+	// building the chunks nobody has touched.
 	for f := phys.PageNum(0); int(f) < table.Pages(); f++ {
-		e := table.Entry(f)
-		if ringOut[f] {
+		e := table.Peek(f)
+		if ringOut(f) {
 			continue
 		}
 		check := func(m *nipt.OutMapping, start uint32) error {
@@ -96,7 +93,7 @@ func (k *Kernel) CheckInvariants() error {
 			}
 		}
 		// Invariant 3.
-		if e.MappedIn && !ringIn[f] && len(k.imports[f]) == 0 {
+		if e.MappedIn && !ringIn(f) && len(k.imports[f]) == 0 {
 			return fmt.Errorf("kernel%d: frame %d mapped in with no importer bookkeeping", k.id, f)
 		}
 		if !e.MappedIn && len(k.imports[f]) > 0 {
@@ -117,7 +114,7 @@ func (k *Kernel) CheckInvariants() error {
 		if pid, inUse := used[f]; inUse {
 			return fmt.Errorf("kernel%d: free frame %d backs a page of pid %d", k.id, f, pid)
 		}
-		e := table.Entry(f)
+		e := table.Peek(f)
 		if e.MappedOut() || e.MappedIn {
 			return fmt.Errorf("kernel%d: free frame %d has NIPT state", k.id, f)
 		}

@@ -107,14 +107,12 @@ type Kernel struct {
 	free    []phys.PageNum
 	swap    map[swapKey][]byte
 
-	// roster is the boot-wired ring pair to each node, indexed by node
-	// id; inboxPeer maps an inbox frame to its sender (node id + 1, 0
-	// for frames that are not ring inboxes). Both are plain data: the
-	// per-peer ring state in rings is built on first use (see peerOf).
-	roster    []ringSlot
-	inboxPeer []int32
-	rings     map[packet.NodeID]*peer
-	pending   map[uint32]*Future
+	// coords maps node ids to mesh coordinates (SetRings); the boot ring
+	// layout is computed from it (see RingIndex). The per-peer ring
+	// state in rings is built on first use (see peerOf).
+	coords  []packet.Coord
+	rings   map[packet.NodeID]*peer
+	pending map[uint32]*Future
 	// pendingDst records each pending RPC's destination so a peer-down
 	// declaration can resolve exactly the futures that will never be
 	// acknowledged (HandlePeerDown).
@@ -192,17 +190,16 @@ func New(eng *sim.Engine, cfg Config, id packet.NodeID, coord packet.Coord,
 
 // Reset returns the kernel to its just-constructed state: no processes,
 // no peers or rings, no pending RPCs, no mapping records, scheduler
-// idle, zeroed statistics. Maps and the ring roster are cleared in place
+// idle, zeroed statistics. Maps and the free list are cleared in place
 // so their storage is reused. The machine constructor's boot steps
-// (AddPeer, SetFreePages) must be re-run afterwards, exactly as after
+// (SetRings, SetFreePages) must be re-run afterwards, exactly as after
 // New.
 func (k *Kernel) Reset() {
 	clear(k.procs)
 	k.nextPID = 1
-	k.free = nil
+	k.free = k.free[:0]
 	clear(k.swap)
-	clear(k.roster)
-	clear(k.inboxPeer)
+	k.coords = nil
 	clear(k.rings)
 	clear(k.pending)
 	clear(k.pendingDst)
@@ -250,9 +247,21 @@ func (k *Kernel) NIC() *nic.NIC { return k.nic }
 // CPU returns the node's processor (may be nil in harness tests).
 func (k *Kernel) CPU() *isa.CPU { return k.cpu }
 
-// SetFreePages seeds the physical page allocator; the machine
-// constructor calls it after reserving boot pages.
-func (k *Kernel) SetFreePages(pages []phys.PageNum) { k.free = pages }
+// SetFreePages seeds the physical page allocator with frames
+// [first, end); the machine constructor calls it with the frames above
+// the boot ring pages. The allocator hands them out in ascending order.
+// The free list's storage is reused, so a Reset kernel reseeds it
+// without allocating.
+func (k *Kernel) SetFreePages(first, end phys.PageNum) {
+	if n := int(end) - int(first); cap(k.free) < n {
+		k.free = make([]phys.PageNum, 0, n)
+	}
+	k.free = k.free[:0]
+	// Descending, because the allocator pops the tail.
+	for p := end; p > first; p-- {
+		k.free = append(k.free, p-1)
+	}
+}
 
 // FreePageCount returns the number of unallocated physical pages.
 func (k *Kernel) FreePageCount() int { return len(k.free) }

@@ -30,10 +30,11 @@ func checkInvariants(t *testing.T, m *core.Machine) {
 	}
 }
 
-// TestLazyRingState pins the lazy kernel-ring contract: boot wires the
-// all-to-all roster (and the NIPT ring entries) but builds no ring
+// TestLazyRingState pins the lazy kernel-ring contract: boot hands every
+// kernel the all-to-all ring layout, computed from node ids (the NIPT
+// ring entries are each table's power-on contents), but builds no ring
 // state; a ring's state appears only when the ring is first used; the
-// invariant checker exempts every boot ring frame from the roster, built
+// invariant checker exempts every boot ring frame of the layout, built
 // or not; and building late is unobservable — a heartbeat-driven
 // Survivable run, which touches every ring, matches a run on a machine
 // whose rings were all built up front, and Reset returns to the fresh

@@ -215,7 +215,7 @@ func (k *Kernel) checkSegmentFree(frame phys.PageNum, sg pageSeg) error {
 // installMapping writes the planned segments into the NIPT and the
 // process page table.
 func (k *Kernel) installMapping(m *Mapping, segs []pageSeg) {
-	coord := k.roster[m.Dst].coord
+	coord := k.coords[m.Dst]
 	for _, sg := range segs {
 		frame, _ := m.Proc.AS.FrameOf(sg.vpn)
 		out := nipt.OutMapping{

@@ -137,9 +137,9 @@ func (k *Kernel) HandlePeerDown(pd *fault.PeerDown) {
 // node. Peers with backlogged records are skipped; their queued traffic
 // already exercises the detector.
 func (k *Kernel) Heartbeat() {
-	for i := range k.roster {
+	for i := range k.coords {
 		node := packet.NodeID(i)
-		if !k.roster[i].wired || k.down[node] != nil {
+		if node == k.id || k.down[node] != nil {
 			continue
 		}
 		p := k.peerOf(node)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/nic"
+	"repro/internal/nipt"
 	"repro/internal/packet"
 	"repro/internal/phys"
 )
@@ -62,15 +63,89 @@ func (k *Kernel) ringHeader() uint32 {
 	return ringHeaderBytes
 }
 
-// ringSlot is one roster entry: the boot-wired ring pair with a node.
-type ringSlot struct {
-	coord    packet.Coord
-	outFrame phys.PageNum // local outbox, mapped out to the node's inbox
-	inFrame  phys.PageNum // local inbox the node's outbox maps onto
-	wired    bool
+// Boot ring layout. The firmware wires every ordered pair of n nodes
+// with the same page layout, a pure function of the node ids: node
+// self's outbox toward peer b is frame RingIndex(self, b), and its inbox
+// from b is frame n-1+RingIndex(self, b). Frames from 2(n-1) up are
+// free for allocation. Nothing per pair is stored; the kernel computes
+// the layout from the node-id → coordinate table SetRings hands it.
+
+// RingIndex numbers self's peers 0..n-2 in node order, skipping self.
+func RingIndex(self, peer int) int {
+	if peer < self {
+		return peer
+	}
+	return peer - 1
 }
 
-// peer is the ring state of one pair, built from the roster the first
+// ringPeer inverts RingIndex: the peer self numbers idx.
+func ringPeer(self, idx int) int {
+	if idx < self {
+		return idx
+	}
+	return idx + 1
+}
+
+// RingPages returns the number of boot ring frames on each node of an
+// n-node machine: an outbox and an inbox per peer.
+func RingPages(n int) int { return 2 * max(n-1, 0) }
+
+// BootEntry is the power-on NIPT entry of page p on node self of the
+// machine whose node coordinates are coords: outboxes map out
+// (blocked-write, which ring records merge nicely into) to the peer's
+// inbox from self, inboxes are mapped in, and both are tagged as kernel
+// rings so that arrivals raise the kernel IRQ. Every other page is
+// unmapped.
+func BootEntry(coords []packet.Coord, self int, p phys.PageNum) nipt.Entry {
+	peers := len(coords) - 1
+	switch i := int(p); {
+	case i < peers:
+		b := ringPeer(self, i)
+		return nipt.Entry{
+			Lo: nipt.OutMapping{
+				Mode:    nipt.BlockedWriteAU,
+				Dst:     coords[b],
+				DstNode: packet.NodeID(b),
+				DstPage: phys.PageNum(peers + RingIndex(b, self)),
+			},
+			KernelRing: true,
+		}
+	case i < 2*peers:
+		return nipt.Entry{MappedIn: true, KernelRing: true}
+	}
+	return nipt.Entry{}
+}
+
+// SetRings gives the kernel the machine's boot ring layout: coords maps
+// every node id to its mesh coordinates, and this kernel has a ring pair
+// with each node but itself. All kernels of a machine share the slice;
+// none modifies it.
+func (k *Kernel) SetRings(coords []packet.Coord) { k.coords = coords }
+
+// hasRing reports whether boot wired a ring pair with node.
+func (k *Kernel) hasRing(node packet.NodeID) bool {
+	return node >= 0 && int(node) < len(k.coords) && node != k.id
+}
+
+// ringFrames returns the ring pair with node: the local outbox mapped
+// out to node's inbox, and the local inbox node's outbox maps onto.
+func (k *Kernel) ringFrames(node packet.NodeID) (out, in phys.PageNum) {
+	i := RingIndex(int(k.id), int(node))
+	return phys.PageNum(i), phys.PageNum(len(k.coords) - 1 + i)
+}
+
+// inboxSender returns the node whose outbox maps onto local frame f, or
+// ok=false if f is not a ring inbox.
+func (k *Kernel) inboxSender(f phys.PageNum) (node packet.NodeID, ok bool) {
+	peers := len(k.coords) - 1
+	i := int(f) - peers
+	if i < 0 || i >= peers {
+		return 0, false
+	}
+	return packet.NodeID(ringPeer(int(k.id), i)), true
+}
+
+// peer is the ring state of one pair, built from the layout the first
 // time the ring is used: a send, an arrival interrupt, or a heartbeat.
 // Until then the pair is at its boot state (cursors 0, sequence 1),
 // which is what a fresh peer starts with, so building it late is
@@ -93,36 +168,17 @@ type peer struct {
 	lastCredit uint64
 }
 
-// AddPeer wires up the ring pair with another node. The machine
-// constructor calls it at boot after installing the NIPT entries for
-// outFrame (mapped out to the peer's inbox) and inFrame (mapped in,
-// kernel-ring, interrupt-on-arrival). It only records the pair in the
-// roster; the ring state is built on first use.
-func (k *Kernel) AddPeer(node packet.NodeID, coord packet.Coord, outFrame, inFrame phys.PageNum) {
-	if n := int(node) + 1; n > len(k.roster) {
-		k.roster = append(k.roster, make([]ringSlot, n-len(k.roster))...)
-	}
-	if k.roster[node].wired {
-		panic(fmt.Sprintf("kernel%d: duplicate peer %d", k.id, node))
-	}
-	k.roster[node] = ringSlot{coord: coord, outFrame: outFrame, inFrame: inFrame, wired: true}
-	if n := int(inFrame) + 1; n > len(k.inboxPeer) {
-		k.inboxPeer = append(k.inboxPeer, make([]int32, n-len(k.inboxPeer))...)
-	}
-	k.inboxPeer[inFrame] = int32(node) + 1
-}
-
-// peerOf returns the ring state for node, building it from the roster
-// on first use. It panics if no ring to node was wired at boot.
+// peerOf returns the ring state for node, building it from the boot
+// layout on first use. It panics if boot wired no ring to node.
 func (k *Kernel) peerOf(node packet.NodeID) *peer {
 	if p := k.rings[node]; p != nil {
 		return p
 	}
-	if node < 0 || int(node) >= len(k.roster) || !k.roster[node].wired {
+	if !k.hasRing(node) {
 		panic(fmt.Sprintf("kernel%d: no ring to node %d", k.id, node))
 	}
-	s := &k.roster[node]
-	p := &peer{node: node, outFrame: s.outFrame, inFrame: s.inFrame, wseq: 1, rseq: 1}
+	out, in := k.ringFrames(node)
+	p := &peer{node: node, outFrame: out, inFrame: in, wseq: 1, rseq: 1}
 	k.rings[node] = p
 	return p
 }
@@ -219,10 +275,11 @@ func (k *Kernel) ringAck(p *peer, cumulative uint64) {
 func (k *Kernel) handleNICIRQ(cause nic.IRQCause, page phys.PageNum) {
 	switch cause {
 	case nic.IRQKernelRing:
-		if int(page) >= len(k.inboxPeer) || k.inboxPeer[page] == 0 {
+		node, ok := k.inboxSender(page)
+		if !ok {
 			panic(fmt.Sprintf("kernel%d: ring IRQ for unknown page %d", k.id, page))
 		}
-		k.drainRing(k.peerOf(packet.NodeID(k.inboxPeer[page] - 1)))
+		k.drainRing(k.peerOf(node))
 	case nic.IRQRecv:
 		if k.OnUserRecvIRQ != nil {
 			k.OnUserRecvIRQ(page)

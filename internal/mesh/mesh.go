@@ -107,7 +107,12 @@ type Endpoint interface {
 // channel is one unidirectional link (or an injection/ejection port).
 // Worms own channels exclusively; waiters are granted in FIFO order.
 type channel struct {
-	name    string
+	// at is the node the channel leaves from (or, for an ejection port,
+	// delivers to); dir is the link's direction, or portInj/portEj.
+	// Together they name the channel (see name), which only metrics
+	// registration and panics need.
+	at      packet.Coord
+	dir     uint8
 	owner   *worm
 	waiters []*worm
 	// injNode is the node index whose injection port this is, or -1.
@@ -119,6 +124,19 @@ type channel struct {
 	// flight. downFrom == 0 means never down; downUntil == 0 with a
 	// nonzero downFrom means down forever.
 	downFrom, downUntil sim.Time
+}
+
+// name labels the channel for metrics and diagnostics: "inj(x,y)",
+// "ej(x,y)", or "(x,y)->(x',y')" for a link.
+func (ch *channel) name() string {
+	switch ch.dir {
+	case portInj:
+		return fmt.Sprintf("inj%v", ch.at)
+	case portEj:
+		return fmt.Sprintf("ej%v", ch.at)
+	}
+	d := dirStep[ch.dir]
+	return fmt.Sprintf("%v->%v", ch.at, packet.Coord{X: ch.at.X + d.X, Y: ch.at.Y + d.Y})
 }
 
 // down reports whether the channel is in its outage window at t.
@@ -190,6 +208,20 @@ const (
 	dirCount
 )
 
+// Port kinds, beside the link directions in channel.dir.
+const (
+	portInj = dirCount + iota
+	portEj
+)
+
+// dirStep is the coordinate offset one hop toward each direction.
+var dirStep = [dirCount]packet.Coord{
+	dirEast:  {X: 1},
+	dirWest:  {X: -1},
+	dirSouth: {Y: 1},
+	dirNorth: {Y: -1},
+}
+
 // Network is the routing backplane.
 type Network struct {
 	eng *sim.Engine
@@ -253,20 +285,23 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		dead:    make([]bool, nodes),
 		injFree: make([]func(), nodes),
 	}
+	// Every channel in one array: an injection and an ejection port per
+	// node, and a link each way between XY neighbors.
+	links := 2 * ((cfg.Width-1)*cfg.Height + cfg.Width*(cfg.Height-1))
+	chans := make([]channel, 0, 2*nodes+links)
+	add := func(ch channel) *channel {
+		chans = append(chans, ch)
+		return &chans[len(chans)-1]
+	}
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
 			c := packet.Coord{X: x, Y: y}
 			i := n.index(c)
-			n.inj[i] = &channel{name: fmt.Sprintf("inj%v", c), injNode: i}
-			n.ej[i] = &channel{name: fmt.Sprintf("ej%v", c), injNode: -1}
-			for dir, d := range [dirCount]packet.Coord{
-				dirEast:  {X: x + 1, Y: y},
-				dirWest:  {X: x - 1, Y: y},
-				dirSouth: {X: x, Y: y + 1},
-				dirNorth: {X: x, Y: y - 1},
-			} {
-				if n.Contains(d) {
-					n.links[i][dir] = &channel{name: fmt.Sprintf("%v->%v", c, d), injNode: -1}
+			n.inj[i] = add(channel{at: c, dir: portInj, injNode: i})
+			n.ej[i] = add(channel{at: c, dir: portEj, injNode: -1})
+			for dir, d := range dirStep {
+				if n.Contains(packet.Coord{X: x + d.X, Y: y + d.Y}) {
+					n.links[i][dir] = add(channel{at: c, dir: uint8(dir), injNode: -1})
 				}
 			}
 		}
@@ -281,7 +316,7 @@ func (n *Network) SetObs(reg *obs.Registry) {
 	n.reg = reg
 	register := func(ch *channel) {
 		if ch != nil {
-			ch.stat = reg.Link(ch.name)
+			ch.stat = reg.Link(ch.name())
 		}
 	}
 	for i := range n.links {
@@ -716,7 +751,7 @@ func (n *Network) drained(w *worm) {
 // that waiter's head from wherever its virtual timing places it.
 func (n *Network) release(ch *channel, w *worm) {
 	if ch.owner != w {
-		panic(fmt.Sprintf("mesh: %s released by non-owner", ch.name))
+		panic(fmt.Sprintf("mesh: %s released by non-owner", ch.name()))
 	}
 	ch.owner = nil
 	if len(ch.waiters) > 0 {

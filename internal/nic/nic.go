@@ -345,7 +345,7 @@ func New(eng *sim.Engine, cfg Config, node packet.NodeID, coord packet.Coord,
 	table *nipt.Table, xbus *bus.Xpress, eisa *bus.EISA, net Network) *NIC {
 	n := &NIC{
 		eng: eng, fab: eng, cfg: cfg, node: node, coord: coord,
-		dom: sim.DomNode(int(node)),
+		dom:   sim.DomNode(int(node)),
 		table: table, xbus: xbus, eisa: eisa, net: net,
 	}
 	n.injectEv.n = n
@@ -358,7 +358,14 @@ func New(eng *sim.Engine, cfg Config, node packet.NodeID, coord packet.Coord,
 	}
 	xbus.AddSnooper(n)
 	xbus.SetCommandTarget(n)
-	xbus.SetSnoopFilter(n.snoopNeeded)
+	// The page-granular CPU-write snoop filter. The NIC is the only
+	// snooper interested in CPU-mastered writes (the cache's
+	// invalidation port ignores them), and it only acts on pages the
+	// NIPT maps out — kernel ring pages included, since they are the
+	// table's power-on mappings. The NIPT entry is consulted live on
+	// every write, so direct entry mutations (MapOut, UnmapOut,
+	// eviction) need no filter maintenance.
+	xbus.SetSnoopFilter(table.MappedOutAt)
 	net.Attach(coord, (*endpoint)(n))
 	net.OnInjectorFree(coord, n.injectorFree)
 	return n
@@ -556,17 +563,6 @@ func (n *NIC) Reset() {
 	clear(n.downPeers)
 	n.downCount = 0
 	n.stats = Stats{}
-}
-
-// snoopNeeded is the page-granular CPU-write snoop filter the NIC
-// installs on the Xpress bus. The NIC is the only snooper interested in
-// CPU-mastered writes (the cache's invalidation port ignores them), and
-// it only acts on pages the NIPT maps out — kernel ring pages included,
-// since the boot firmware installs them as out-mappings. The NIPT entry
-// is consulted live on every write, so direct entry mutations (MapOut,
-// UnmapOut, eviction) need no filter maintenance.
-func (n *NIC) snoopNeeded(a phys.PAddr) bool {
-	return n.table.Entry(a.Page()).MappedOut()
 }
 
 // SnoopWrite implements bus.Snooper: the outgoing half of Figure 4.

@@ -95,33 +95,115 @@ func (e *Entry) MappedOut() bool {
 }
 
 // Table is the page table of one network interface.
+//
+// Entries live in fixed chunks of chunkPages, built on first touch: a
+// chunk nobody has asked for through Entry reads as the table's
+// power-on contents (SetBoot), so a table costs what its node touches
+// rather than what its memory holds. Reset refills the built chunks in
+// place.
 type Table struct {
-	entries []Entry
-	scope   *obs.NodeScope // nil when metrics are disabled
+	dir   []*chunk // by page >> chunkShift; nil until first touched
+	pages int
+	boot  func(phys.PageNum) Entry // power-on contents; nil means all zero
+	built []int32                  // directory slots holding a chunk
+	scope *obs.NodeScope           // nil when metrics are disabled
 }
 
+const (
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+	chunkMask  = chunkPages - 1
+)
+
+type chunk [chunkPages]Entry
+
 // New returns a table covering the given number of physical pages.
-func New(pages int) *Table { return &Table{entries: make([]Entry, pages)} }
+func New(pages int) *Table {
+	return &Table{dir: make([]*chunk, (pages+chunkMask)>>chunkShift), pages: pages}
+}
 
 // Pages returns the number of entries.
-func (t *Table) Pages() int { return len(t.entries) }
+func (t *Table) Pages() int { return t.pages }
 
 // SetObs attaches the node's metrics scope (nil detaches). Resolve
 // counts lookups and misses through it.
 func (t *Table) SetObs(s *obs.NodeScope) { t.scope = s }
 
-// Entry returns the entry for page p. The pointer stays valid for the
-// table's lifetime; callers mutate entries through it (the hardware
-// analogue is the kernel writing NIPT entries through the NIC's
-// configuration port).
-func (t *Table) Entry(p phys.PageNum) *Entry {
-	return &t.entries[p]
+// SetBoot installs the table's power-on contents: boot(p) is the entry
+// page p holds until someone touches it (the hardware analogue is the
+// boot firmware's NIPT writes). It returns the table to those contents.
+func (t *Table) SetBoot(boot func(phys.PageNum) Entry) {
+	t.boot = boot
+	t.Reset()
 }
 
-// Reset clears every entry, returning the table to its just-built
-// state. The entry array is reused in place.
+// Entry returns the entry for page p, building its chunk on first
+// touch. The pointer stays valid for the table's lifetime; callers
+// mutate entries through it (the hardware analogue is the kernel
+// writing NIPT entries through the NIC's configuration port).
+func (t *Table) Entry(p phys.PageNum) *Entry {
+	if c := t.dir[p>>chunkShift]; c != nil {
+		return &c[p&chunkMask]
+	}
+	return t.build(p)
+}
+
+// MappedOutAt reports whether the page holding a has an outgoing
+// mapping, building the page's chunk on first touch. The NIC installs
+// it as the bus's CPU-write snoop filter, so it runs on every CPU store.
+func (t *Table) MappedOutAt(a phys.PAddr) bool {
+	return t.Entry(a.Page()).MappedOut()
+}
+
+// build fills p's chunk with the power-on contents and returns p's
+// entry.
+func (t *Table) build(p phys.PageNum) *Entry {
+	if int(p) >= t.pages {
+		panic(fmt.Sprintf("nipt: page %d outside a %d-page table", p, t.pages))
+	}
+	slot := p >> chunkShift
+	c := new(chunk)
+	t.fill(slot, c)
+	t.dir[slot] = c
+	t.built = append(t.built, int32(slot))
+	return &c[p&chunkMask]
+}
+
+// fill writes the power-on contents of directory slot slot into c.
+func (t *Table) fill(slot phys.PageNum, c *chunk) {
+	first := slot << chunkShift
+	for i := range c {
+		c[i] = t.bootEntry(first + phys.PageNum(i))
+	}
+}
+
+func (t *Table) bootEntry(p phys.PageNum) Entry {
+	if t.boot == nil || int(p) >= t.pages {
+		return Entry{}
+	}
+	return t.boot(p)
+}
+
+// Peek returns a copy of page p's entry without building its chunk:
+// the power-on contents if nobody has touched it. Audits that walk the
+// whole table use it so that looking does not cost a full build.
+func (t *Table) Peek(p phys.PageNum) Entry {
+	if c := t.dir[p>>chunkShift]; c != nil {
+		return c[p&chunkMask]
+	}
+	if int(p) >= t.pages {
+		panic(fmt.Sprintf("nipt: page %d outside a %d-page table", p, t.pages))
+	}
+	return t.bootEntry(p)
+}
+
+// Reset returns every entry to its power-on contents. It costs what has
+// been touched, and allocates nothing: each built chunk is refilled in
+// place.
 func (t *Table) Reset() {
-	clear(t.entries)
+	for _, slot := range t.built {
+		t.fill(phys.PageNum(slot), t.dir[slot])
+	}
 }
 
 // MapOut installs an outgoing mapping covering the whole page.
@@ -154,8 +236,7 @@ func (t *Table) UnmapOut(p phys.PageNum) {
 // is not mapped out.
 func (t *Table) Resolve(a phys.PAddr) (m *OutMapping, remote phys.PAddr, ok bool) {
 	t.scope.Inc(obs.CtrNIPTLookups)
-	e := t.Entry(a.Page())
-	m = e.Out(a.Offset())
+	m = t.Entry(a.Page()).Out(a.Offset())
 	if m.Mode == Unmapped {
 		t.scope.Inc(obs.CtrNIPTMisses)
 		return nil, 0, false

@@ -145,3 +145,130 @@ func TestResolveConsistentWithOut(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// bootTable is a table whose power-on contents map every third page out
+// to the page 1000 above it and mark every fifth page mapped in.
+func bootTable(pages int) *Table {
+	tb := New(pages)
+	tb.SetBoot(func(p phys.PageNum) Entry { return bootContents(p) })
+	return tb
+}
+
+func bootContents(p phys.PageNum) Entry {
+	var e Entry
+	if p%3 == 0 {
+		e.Lo = OutMapping{Mode: BlockedWriteAU, DstNode: 1, DstPage: p + 1000}
+		e.KernelRing = true
+	}
+	e.MappedIn = p%5 == 0
+	return e
+}
+
+// TestBootContents pins the power-on contract: every page reads as its
+// boot contents before anyone touches it — through Entry, Peek and
+// Resolve — and Reset brings them back after mutations.
+func TestBootContents(t *testing.T) {
+	const pages = 3*chunkPages + 7 // a partial last chunk
+	tb := bootTable(pages)
+	check := func(when string) {
+		t.Helper()
+		for p := phys.PageNum(0); int(p) < pages; p++ {
+			if got, want := tb.Peek(p), bootContents(p); got != want {
+				t.Fatalf("%s: Peek(%d) = %+v, want %+v", when, p, got, want)
+			}
+			_, remote, ok := tb.Resolve(p.Addr(8))
+			if want := p%3 == 0; ok != want || ok && remote != (p+1000).Addr(8) {
+				t.Fatalf("%s: Resolve(page %d) = %#x, %v", when, p, uint32(remote), ok)
+			}
+			if got, want := *tb.Entry(p), bootContents(p); got != want {
+				t.Fatalf("%s: Entry(%d) = %+v, want %+v", when, p, got, want)
+			}
+		}
+	}
+	check("fresh")
+	for p := phys.PageNum(0); int(p) < pages; p += 2 {
+		tb.UnmapOut(p)
+		tb.Entry(p).RecvInterrupt = true
+	}
+	tb.MapOut(pages-1, OutMapping{Mode: SingleWriteAU, DstPage: 7})
+	first, last := tb.Peek(0), tb.Peek(pages-1)
+	if first.MappedOut() || !last.MappedOut() || !tb.Peek(2).RecvInterrupt {
+		t.Fatal("Peek does not see mutations of built chunks")
+	}
+	tb.Reset()
+	check("after Reset")
+}
+
+// TestBootResetRefillsInPlace checks that Reset costs what was touched:
+// it refills the built chunks in place with their power-on contents,
+// not the state they held before the Reset, keeps every entry pointer
+// valid, and allocates nothing.
+func TestBootResetRefillsInPlace(t *testing.T) {
+	tb := bootTable(8 * chunkPages)
+	e0 := tb.Entry(0)
+	e0.RecvInterrupt = true
+	e5 := tb.Entry(5*chunkPages + 3)
+	*e5 = Entry{Split: 99, MappedIn: true}
+	if len(tb.built) != 2 {
+		t.Fatalf("%d chunks built, want 2", len(tb.built))
+	}
+	if allocs := testing.AllocsPerRun(1, tb.Reset); allocs != 0 {
+		t.Fatalf("Reset allocates %v", allocs)
+	}
+	if len(tb.built) != 2 {
+		t.Fatalf("after Reset: %d chunks built, want 2", len(tb.built))
+	}
+	for slot, c := range tb.dir {
+		if built := slot == 0 || slot == 5; (c != nil) != built {
+			t.Fatalf("slot %d: built %v after Reset, want %v", slot, c != nil, built)
+		}
+	}
+	if tb.Entry(0) != e0 || tb.Entry(5*chunkPages+3) != e5 {
+		t.Fatal("Reset moved a built entry")
+	}
+	for _, base := range []phys.PageNum{0, 5 * chunkPages} {
+		for p := base; p < base+chunkPages; p++ {
+			if got, want := *tb.Entry(p), bootContents(p); got != want {
+				t.Fatalf("refilled chunk: page %d = %+v, want %+v", p, got, want)
+			}
+		}
+	}
+	// Steady state: mutate, Reset, touch again allocates nothing.
+	if allocs := testing.AllocsPerRun(10, func() {
+		tb.Entry(1).Split = 7
+		tb.Reset()
+		tb.Entry(5 * chunkPages)
+	}); allocs != 0 {
+		t.Fatalf("steady-state Reset/touch allocates %v", allocs)
+	}
+}
+
+// TestBootPeekBuildsNothing checks that the auditing accessor never builds
+// a chunk, so a whole-table walk leaves the table as lazy as it was.
+func TestBootPeekBuildsNothing(t *testing.T) {
+	tb := bootTable(4 * chunkPages)
+	for p := phys.PageNum(0); int(p) < tb.Pages(); p++ {
+		tb.Peek(p)
+	}
+	if len(tb.built) != 0 {
+		t.Fatalf("Peek built %d chunks", len(tb.built))
+	}
+	for slot, c := range tb.dir {
+		if c != nil {
+			t.Fatalf("Peek built slot %d", slot)
+		}
+	}
+}
+
+// TestBootSetBootDiscardsBuilt checks that installing power-on
+// contents returns the table to them, touched chunks included.
+func TestBootSetBootDiscardsBuilt(t *testing.T) {
+	tb := New(2 * chunkPages)
+	tb.MapOut(3, OutMapping{Mode: SingleWriteAU, DstPage: 1})
+	tb.SetBoot(func(p phys.PageNum) Entry { return bootContents(p) })
+	for p := phys.PageNum(0); int(p) < tb.Pages(); p++ {
+		if got, want := *tb.Entry(p), bootContents(p); got != want {
+			t.Fatalf("page %d = %+v, want %+v", p, got, want)
+		}
+	}
+}

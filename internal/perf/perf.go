@@ -136,7 +136,7 @@ func ReadReport(rd io.Reader) (*Report, error) {
 // tolerance.
 type Regression struct {
 	Name   string
-	Metric string  // "events_per_sec" or "allocs_per_op"
+	Metric string // "events_per_sec" or "allocs_per_op"
 	Old    float64
 	New    float64
 	Change float64 // fractional change, positive = worse

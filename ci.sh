@@ -43,16 +43,20 @@ GOMAXPROCS=1 go test -race -count 1 -run 'TestLazyBoot|TestLazyLines|TestBoot' .
 GOMAXPROCS=2 go test -race -count 1 -run 'TestLazyBoot|TestLazyLines|TestBoot' ./internal/cache ./internal/nipt
 go test -run '^$' -bench 'BenchmarkMachineReset' -benchtime 1000x -benchmem ./internal/core | grep 'BenchmarkMachineReset' | grep -q ' 0 allocs/op'
 # Store-path guards. UserWriteBytes and UserWrite32 must leave every
-# node's stats, the mesh, the event count and every engine's clock
-# exactly where the per-word RunFor reference does (also on partitioned
-# machines, where the run lets the node's engine lead the others), and
-# both Go-API channel kinds must surface a peer that crashes during
-# set-up or a blocked Send/Recv as fault.ErrPeerDown, as must Await
-# when a crash leaves it with nothing to simulate. The Go-API write
-# path must not touch the heap.
+# node's stats, the mesh, the event count, every engine's clock, the
+# sender's DRAM and cache lines and the metrics and recorder exactly
+# where the per-word RunFor reference does (also on partitioned
+# machines, where the run lets the node's engine lead the others, and
+# on every kind of page a span may or may not take), and both Go-API
+# channel kinds must surface a peer that crashes during set-up or a
+# blocked Send/Recv as fault.ErrPeerDown, as must Await when a crash
+# leaves it with nothing to simulate. The Go-API write path must not
+# touch the heap, sequentially or with sender and receiver on
+# different partitions.
 GOMAXPROCS=1 go test -race -count 1 -run 'TestStorePath|TestChannelPeerDown|TestChannelSetUpPeerDown|TestAwaitRunsDry' ./internal/core ./internal/msg
 GOMAXPROCS=2 go test -race -count 1 -run 'TestStorePath|TestChannelPeerDown|TestChannelSetUpPeerDown|TestAwaitRunsDry' ./internal/core ./internal/msg
 go test -run '^$' -bench 'BenchmarkUserWriteBytes' -benchtime 1000x -benchmem ./internal/core | grep 'BenchmarkUserWriteBytes' | grep -q ' 0 allocs/op'
+go test -run '^$' -bench 'BenchmarkPartitionedUserWriteBytes' -benchtime 1000x -benchmem ./internal/core | grep 'BenchmarkPartitionedUserWriteBytes' | grep -q ' 0 allocs/op'
 # Rendezvous allocation guards, unconditional (they hold on any host,
 # unlike the speedup gate below): the typed post/message path through
 # the cluster must not touch the heap, and the partitioned allreduce

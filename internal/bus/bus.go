@@ -56,6 +56,24 @@ type Snooper interface {
 	SnoopWrite(init Initiator, a phys.PAddr, data []byte)
 }
 
+// SpanSnooper is a Snooper that can also observe a span: a run of
+// consecutive 4-byte CPU writes inside one page, carried out in one
+// pass instead of one Write per word (see BeginSpan). The bus spans
+// only when every registered snooper is one.
+type SpanSnooper interface {
+	Snooper
+	// SpanLimit reports how many bytes of the words written from a
+	// onward (at most n) the snooper would take, the first at now and
+	// each later one at most window after the one before it, with
+	// nothing scheduled: each word only counted and absorbed, exactly
+	// as its SnoopWrite would. A negative limit refuses spans anywhere
+	// on a's page for as long as the page's mapping stands.
+	SpanLimit(a phys.PAddr, n int, now sim.Time) (limit int, window sim.Time)
+	// SnoopSpan observes the words of data written from a, the last of
+	// them at last, as one SnoopWrite per word would.
+	SnoopSpan(a phys.PAddr, data []byte, last sim.Time)
+}
+
 // CommandTarget decodes accesses to the NIC command address space
 // (paper §4.2). Command reads and writes are bus transactions that no
 // RAM responds to; the network interface claims them.
@@ -98,10 +116,12 @@ type XpressStats struct {
 // whether any registered snooper could care. The NIC installs a
 // page-granular filter (does the NIPT map this page out?) so the common
 // case — stores to private pages — skips the snooper fan-out entirely.
-// The filter is consulted live on every write, never cached, so direct
-// NIPT entry mutations need no invalidation hook. Only CPU-initiated
-// writes are filtered: DMA traffic must always reach the cache's
-// invalidation port.
+// The filter is consulted live on every write and once per span (see
+// BeginSpan), so direct NIPT entry mutations need no invalidation hook.
+// A span may consult it once because NIPT entries change only inside
+// events and kernel calls, never inside an event-free run of stores.
+// Only CPU-initiated writes are filtered: DMA traffic must always reach
+// the cache's invalidation port.
 type SnoopFilter func(a phys.PAddr) bool
 
 // Xpress is one node's memory bus.
@@ -110,8 +130,10 @@ type Xpress struct {
 	cfg      XpressConfig
 	mem      *phys.Memory
 	snoopers []Snooper
+	plain    int // snoopers that are not SpanSnoopers: no spans while > 0
 	cmd      CommandTarget
 	filter   SnoopFilter
+	span     Span // the span in progress between BeginSpan and EndSpan
 	busyTill sim.Time
 	stats    XpressStats
 	scope    *obs.NodeScope // nil when metrics are disabled
@@ -125,7 +147,12 @@ func NewXpress(eng *sim.Engine, cfg XpressConfig, mem *phys.Memory) *Xpress {
 
 // AddSnooper registers a bus snooper (the NIC, the cache's invalidation
 // port). Registration order is the notification order.
-func (x *Xpress) AddSnooper(s Snooper) { x.snoopers = append(x.snoopers, s) }
+func (x *Xpress) AddSnooper(s Snooper) {
+	x.snoopers = append(x.snoopers, s)
+	if _, ok := s.(SpanSnooper); !ok {
+		x.plain++
+	}
+}
 
 // SetCommandTarget registers the decoder for the command address space.
 func (x *Xpress) SetCommandTarget(t CommandTarget) { x.cmd = t }
@@ -165,15 +192,24 @@ func (x *Xpress) cost(n int) sim.Time {
 	return x.cfg.Arbitration + beats*x.cfg.WordTime
 }
 
+// tenure is the bus's arbitration rule: a transaction requested at now
+// starts once the traffic ahead of it, busy until busy, completes, and
+// waits the difference.
+func tenure(now, busy sim.Time) (start, wait sim.Time) {
+	if busy > now {
+		return busy, busy - now
+	}
+	return now, 0
+}
+
 // acquire serializes a transaction of the given size behind current bus
 // traffic, returning its completion time.
 func (x *Xpress) acquire(n int) sim.Time {
-	start := x.eng.Now()
+	start, wait := tenure(x.eng.Now(), x.busyTill)
 	x.scope.Inc(obs.CtrBusTxns)
-	if x.busyTill > start {
-		x.stats.ContentionWait += x.busyTill - start
-		x.scope.Add(obs.CtrBusWaitPs, uint64(x.busyTill-start))
-		start = x.busyTill
+	if wait > 0 {
+		x.stats.ContentionWait += wait
+		x.scope.Add(obs.CtrBusWaitPs, uint64(wait))
 	}
 	d := x.cost(n)
 	x.busyTill = start + d
@@ -210,6 +246,104 @@ func (x *Xpress) Write(init Initiator, a phys.PAddr, data []byte) (done sim.Time
 		s.SnoopWrite(init, a, data)
 	}
 	return done
+}
+
+// Span is a run of consecutive 4-byte CPU writes inside one page that
+// the bus carries out in one pass: BeginSpan plans it, Word books each
+// word's tenure as Write would, and EndSpan performs the booked words.
+// A bus has one span at a time. Nothing may touch the bus between
+// BeginSpan and EndSpan, and no event may fire in between: the booked
+// words are issued at instants the caller computes, not at the
+// engine's clock.
+type Span struct {
+	limit  int      // bytes the bus and its snoopers take; < 0 refuses the page
+	window sim.Time // longest gap between consecutive words the snoopers take
+	snoop  bool     // the snoop filter passes the page: fan out at EndSpan
+	cost   sim.Time // one word's tenure
+	n      int      // bytes booked
+	last   sim.Time // issue instant of the last booked word
+	busy   sim.Time // busy-until after the booked words
+	wait   sim.Time // contention summed over the booked words
+}
+
+// BeginSpan plans a span of the n bytes of words from a (word-aligned)
+// issued from now on. The span stays inside a's page, takes no command
+// space, and takes only what every snooper takes with nothing scheduled.
+// The snoop filter is consulted once, for the whole page.
+func (x *Xpress) BeginSpan(a phys.PAddr, n int, now sim.Time) *Span {
+	s := &x.span
+	*s = Span{window: sim.Forever, cost: x.cost(4), busy: x.busyTill}
+	if x.plain > 0 || x.mem.IsCmd(a) {
+		s.limit = -1
+		return s
+	}
+	s.limit = min(n, int(phys.PageSize-a.Offset()))
+	if x.filter != nil && !x.filter(a) {
+		return s
+	}
+	s.snoop = true
+	for _, sn := range x.snoopers {
+		limit, window := sn.(SpanSnooper).SpanLimit(a, s.limit, now)
+		if limit < 0 {
+			s.limit = -1
+			return s
+		}
+		s.limit, s.window = min(s.limit, limit), min(s.window, window)
+	}
+	return s
+}
+
+// Refused reports whether the span can take nothing anywhere on its page.
+func (s *Span) Refused() bool { return s.limit < 0 }
+
+// Bytes returns the bytes booked so far.
+func (s *Span) Bytes() int { return s.n }
+
+// BusyUntil is the bus's BusyUntil as the booked words leave it.
+func (s *Span) BusyUntil() sim.Time { return s.busy }
+
+// Word books the next word, issued at now, under the same tenure rule
+// as Write. It books nothing and reports false when the span cannot
+// take the word.
+func (s *Span) Word(now sim.Time) bool {
+	if s.n+4 > s.limit || (s.n > 0 && now-s.last > s.window) {
+		return false
+	}
+	start, wait := tenure(now, s.busy)
+	s.busy = start + s.cost
+	s.wait += wait
+	s.last = now
+	s.n += 4
+	return true
+}
+
+// EndSpan performs the span's booked words, whose bytes are data, at a:
+// DRAM, statistics and snoopers end exactly as one Write per word would
+// leave them.
+func (x *Xpress) EndSpan(a phys.PAddr, data []byte) {
+	s := &x.span
+	words := uint64(len(data) / 4)
+	x.busyTill = s.busy
+	x.stats.ContentionWait += s.wait
+	x.stats.BusyTime += sim.Time(words) * s.cost
+	x.stats.Writes += words
+	x.stats.BytesWritten += uint64(len(data))
+	x.scope.Add(obs.CtrBusTxns, words)
+	if s.wait > 0 {
+		x.scope.Add(obs.CtrBusWaitPs, uint64(s.wait))
+	}
+	// The snoopers see the words as DRAM now holds them, so the caller's
+	// buffer never leaves the call.
+	written := x.mem.View(a, len(data))
+	copy(written, data)
+	if !s.snoop {
+		x.stats.SnoopsFiltered += words
+		x.scope.Add(obs.CtrSnoopsFiltered, words)
+		return
+	}
+	for _, sn := range x.snoopers {
+		sn.(SpanSnooper).SnoopSpan(a, written, s.last)
+	}
 }
 
 // Write32 is a convenience 32-bit Write. The payload is staged in the

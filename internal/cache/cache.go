@@ -125,6 +125,28 @@ func (c *Cache) Reset() {
 	c.allAcc = 0
 }
 
+// LineState is one valid cache line as Lines reports it.
+type LineState struct {
+	Base  phys.PAddr
+	Dirty bool
+	LRU   uint64
+	Data  string
+}
+
+// Lines returns every valid line, set by set and way by way: what the
+// cache holds, for differential tests to compare two caches by.
+func (c *Cache) Lines() []LineState {
+	var out []LineState
+	for s, ways := range c.sets {
+		for _, l := range ways {
+			if l.valid {
+				out = append(out, LineState{c.lineBase(uint32(s), l.tag), l.dirty, l.lru, string(l.data)})
+			}
+		}
+	}
+	return out
+}
+
 // SpinProbe returns the pure-access and total-access counters the CPU's
 // spin fast-forward uses to verify that a candidate wait loop touched
 // nothing but cache load hits: a loop iteration is memory-pure iff the
@@ -326,13 +348,77 @@ func (c *Cache) Store(a phys.PAddr, v uint32, size int, writeThrough bool) sim.T
 	}
 	// Write-through: post the bus write; stall only if the write buffer
 	// has run too far ahead of the bus.
-	var stall sim.Time
-	if ahead := c.xbus.BusyUntil() - c.eng.Now(); ahead > c.cfg.WriteBufferWindow {
-		stall = ahead - c.cfg.WriteBufferWindow
-		c.stats.WriteBufferStall += stall
-	}
+	stall := c.stall(c.xbus.BusyUntil(), c.eng.Now())
+	c.stats.WriteBufferStall += stall
 	c.xbus.Write(bus.InitCPU, a, c.leBytes(v, size))
 	return c.cfg.HitTime + stall
+}
+
+// stall is the write buffer's rule: a write-through store issued at now
+// waits until the bus, busy until busy, is at most WriteBufferWindow
+// behind it.
+func (c *Cache) stall(busy, now sim.Time) sim.Time {
+	if ahead := busy - now; ahead > c.cfg.WriteBufferWindow {
+		return ahead - c.cfg.WriteBufferWindow
+	}
+	return 0
+}
+
+// StoreSpan stores the whole words of data at a, a word-aligned
+// write-through address, as that many 4-byte Stores would if each were
+// issued the instant the one before it completed, starting now. It
+// stops after the first word whose completion reaches horizon, and
+// before a word the bus or a snooper cannot take without scheduling an
+// event (see bus.BeginSpan), so no event falls inside the span. The
+// engine's clock is left where it was: StoreSpan returns the bytes
+// stored, and the issue instant and latency of the last word, for the
+// caller to advance time by. A span that stores nothing returns 0, or
+// -1 when no span can start anywhere on a's page.
+func (c *Cache) StoreSpan(a phys.PAddr, data []byte, horizon sim.Time) (n int, at, lat sim.Time) {
+	now := c.eng.Now()
+	sp := c.xbus.BeginSpan(a, len(data)&^3, now)
+	if sp.Refused() {
+		return -1, 0, 0
+	}
+	for t := now; t < horizon; t = at + lat {
+		stall := c.stall(sp.BusyUntil(), t)
+		if !sp.Word(t) {
+			break
+		}
+		at, lat = t, c.cfg.HitTime+stall
+		c.stats.WriteBufferStall += stall
+	}
+	n = sp.Bytes()
+	if n == 0 {
+		return 0, 0, 0
+	}
+	c.allAcc += uint64(n / 4) // stores are never pure
+	c.storeLines(a, data[:n])
+	c.xbus.EndSpan(a, data[:n])
+	return n, at, lat
+}
+
+// storeLines writes the whole words of data at a into the lines that
+// hold them, charging each word as Store charges a write-through word:
+// one lookup per line run, the run's other words the hits (or
+// no-allocate misses) their Stores would have been, the LRU clock
+// advanced once per hit and the line stamped with the final clock.
+func (c *Cache) storeLines(a phys.PAddr, data []byte) {
+	for len(data) > 0 {
+		off := uint32(a) & c.lineMask
+		k := min(len(data), c.cfg.LineBytes-int(off))
+		words := uint64(k / 4)
+		if l := c.lookup(a); l != nil {
+			copy(l.data[off:], data[:k])
+			c.stats.StoreHits += words
+			c.clock += words - 1
+			l.lru = c.clock
+		} else {
+			c.stats.StoreMisses += words
+		}
+		data = data[k:]
+		a += phys.PAddr(k)
+	}
 }
 
 // LockedCmpxchg forwards the §4.3 locked read-modify-write to the bus,
@@ -398,6 +484,15 @@ func (c *Cache) Flush() {
 // does: the cache supplies its dirty line during the snoop phase, the
 // DMA bytes win for the range they cover, and the line is invalidated.
 type snoopPort struct{ c *Cache }
+
+// SpanLimit implements bus.SpanSnooper: the port ignores CPU writes,
+// so it takes any span.
+func (p snoopPort) SpanLimit(a phys.PAddr, n int, now sim.Time) (int, sim.Time) {
+	return n, sim.Forever
+}
+
+// SnoopSpan implements bus.SpanSnooper: spans are CPU writes.
+func (p snoopPort) SnoopSpan(a phys.PAddr, data []byte, last sim.Time) {}
 
 func (p snoopPort) SnoopWrite(init bus.Initiator, a phys.PAddr, data []byte) {
 	if init == bus.InitCPU {

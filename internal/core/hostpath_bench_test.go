@@ -56,8 +56,26 @@ func BenchmarkUserReadBytes(b *testing.B) {
 // packets and carried across the mesh while the run advances time. It
 // must not allocate (ci.sh greps for 0 allocs/op).
 func BenchmarkUserWriteBytes(b *testing.B) {
-	m := New(ConfigFor(2, 1, nic.GenEISAPrototype))
+	benchUserWriteBytes(b, ConfigFor(2, 1, nic.GenEISAPrototype))
+}
+
+// BenchmarkPartitionedUserWriteBytes is BenchmarkUserWriteBytes in the
+// allreduce benchmark's shape: two partitions, with the sender and the
+// receiver on different ones, so every span's horizon spans both
+// partition engines and the hub. It must not allocate either.
+func BenchmarkPartitionedUserWriteBytes(b *testing.B) {
+	cfg := ConfigFor(2, 1, nic.GenEISAPrototype)
+	cfg.Partitions = 2
+	benchUserWriteBytes(b, cfg)
+}
+
+func benchUserWriteBytes(b *testing.B, cfg Config) {
+	m := New(cfg)
+	defer m.Close()
 	src, dst := m.Node(0), m.Node(1)
+	if m.Clu != nil && m.PartOf[0] == m.PartOf[1] {
+		b.Fatal("sender and receiver share a partition")
+	}
 	ps, pd := src.K.CreateProcess(), dst.K.CreateProcess()
 	sendVA, err := ps.AllocPages(2)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/nic"
 	"repro/internal/nipt"
+	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -80,13 +82,18 @@ type nodeStats struct {
 }
 
 // machineState is the observable state of a machine at one instant:
-// every node's stats, the mesh's, the event count and every engine's
-// clock.
+// every node's stats, the mesh's, the event count, every engine's
+// clock, the sender's DRAM (a checksum per page) and cache lines, and
+// the metrics registry and flight recorder when they are on.
 type machineState struct {
-	Nodes  []nodeStats
-	Mesh   mesh.Stats
-	Fired  uint64
-	Clocks []sim.Time
+	Nodes       []nodeStats
+	Mesh        mesh.Stats
+	Fired       uint64
+	Clocks      []sim.Time
+	SenderDRAM  []uint32
+	SenderLines []cache.LineState
+	Obs         obs.Snapshot
+	Rec         obs.Series
 }
 
 func captureState(m *Machine) machineState {
@@ -101,6 +108,17 @@ func captureState(m *Machine) machineState {
 		}
 		s.Nodes = append(s.Nodes, ns)
 	}
+	sender := m.Node(0)
+	page := make([]byte, phys.PageSize)
+	for p := 0; p < sender.Mem.Pages(); p++ {
+		sender.Mem.ReadInto(phys.PageNum(p).Addr(0), page)
+		s.SenderDRAM = append(s.SenderDRAM, crc32.ChecksumIEEE(page))
+	}
+	s.SenderLines = sender.Cache.Lines()
+	s.Obs = m.Obs.Snapshot()
+	if m.Rec != nil {
+		s.Rec = m.Rec.Series()
+	}
 	return s
 }
 
@@ -114,20 +132,26 @@ type storeOutcome struct {
 
 // storeCase is one scenario of the store-path differential test. Node 0
 // writes the case's bytes at sendVA+off into a send buffer of sendPages
-// pages, of which the first mapPages are mapped blocked-write onto node
-// 1. Just before, node 2 sends bg bytes (up to 8 KB) to node 3 through
-// the same path, so the measured run overlaps traffic on another
-// partition and the hub.
+// pages, of which the first mapPages are mapped onto node 1 (blocked-
+// write unless mode says otherwise); the rest are private write-back
+// pages. Just before, node 2 sends bg bytes (up to 8 KB) to node 3
+// through the same path, so the measured run overlaps traffic on
+// another partition and the hub.
 type storeCase struct {
 	name      string
 	cfg       func() Config
 	sendPages int
 	mapPages  int
+	mode      nipt.Mode // of the measured mapping; 0 means BlockedWriteAU
 	off       int
 	n         int
 	bg        int
+	warm      bool // load the measured bytes into the sender's cache first
 	write32   bool // store with one UserWrite32 per word
-	check     func(t *testing.T, o storeOutcome)
+	// prep, when set, runs on the machine after the maps, before any
+	// write; sendPA is the physical address of sendVA.
+	prep  func(t *testing.T, m *Machine, sendPA phys.PAddr)
+	check func(t *testing.T, o storeOutcome)
 }
 
 func runStoreCase(t *testing.T, c storeCase, cfg Config, write writeFn) storeOutcome {
@@ -144,7 +168,18 @@ func runStoreCase(t *testing.T, c storeCase, cfg Config, write writeFn) storeOut
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.MustMap(ps, sendVA, c.mapPages*phys.PageSize, dst.ID, pd.PID, recvVA, nipt.BlockedWriteAU)
+	mode := c.mode
+	if mode == nipt.Unmapped {
+		mode = nipt.BlockedWriteAU
+	}
+	m.MustMap(ps, sendVA, c.mapPages*phys.PageSize, dst.ID, pd.PID, recvVA, mode)
+	if c.prep != nil {
+		tr, f := ps.AS.Translate(sendVA, false)
+		if f != nil {
+			t.Fatal(f)
+		}
+		c.prep(t, m, tr.PA)
+	}
 	bgSrc, bgDst := m.Node(2), m.Node(3)
 	bs, bd := bgSrc.K.CreateProcess(), bgDst.K.CreateProcess()
 	bgSend, err := bs.AllocPages(2)
@@ -167,6 +202,11 @@ func runStoreCase(t *testing.T, c storeCase, cfg Config, write writeFn) storeOut
 	payload := make([]byte, c.n)
 	for i := range payload {
 		payload[i] = byte(i*13 + 5)
+	}
+	if c.warm {
+		if err := src.UserReadBytes(ps, sendVA+vm.VAddr(c.off), make([]byte, c.n)); err != nil {
+			t.Fatalf("warm-up read: %v", err)
+		}
 	}
 	var o storeOutcome
 	if err := write(src, ps, sendVA+vm.VAddr(c.off), payload); err != nil {
@@ -257,6 +297,91 @@ func storeCases() []storeCase {
 			name: "one-word-runs", cfg: eisa, sendPages: 2, mapPages: 2,
 			off: phys.PageSize - 256, n: 512, write32: true,
 		},
+		{
+			// Every word hits a line the warm-up loaded, so the spans
+			// write line contents and stamp LRU as well as the bus.
+			name: "warm-lines", cfg: eisa, sendPages: 2, mapPages: 2,
+			off: phys.PageSize - 1024, n: 2048, warm: true,
+		},
+		{
+			// The Lo half covers the words starting below offset 1282
+			// (the word at 1280 straddles the split, in the middle of
+			// the packet that opened at 1024); the Hi half is shifted
+			// down 1286 bytes, so its first word lands before the
+			// remote page (a NIPT miss) and the rest land inside it.
+			name: "split-unaligned-shifted",
+			cfg: func() Config {
+				cfg := eisa()
+				cfg.Metrics = true // compare the NIPT lookup and miss counts
+				return cfg
+			},
+			sendPages: 1, mapPages: 1, n: phys.PageSize,
+			prep: func(t *testing.T, m *Machine, sendPA phys.PAddr) {
+				table := m.Node(0).NIC.Table()
+				lo := table.Entry(sendPA.Page()).Lo
+				hi := lo
+				hi.DstShift = -1286
+				table.MapOutSplit(sendPA.Page(), 1282, lo, hi)
+			},
+			check: func(t *testing.T, o storeOutcome) {
+				c := o.Final.Obs.Nodes[0].Counters
+				if c["nipt-misses"] == 0 {
+					t.Fatalf("no NIPT misses on the shifted half: %v", c)
+				}
+			},
+		},
+		{
+			name: "single-write", cfg: eisa, sendPages: 1, mapPages: 1,
+			mode: nipt.SingleWriteAU, off: 8, n: 1024,
+		},
+		{
+			name: "deliberate-update", cfg: eisa, sendPages: 1, mapPages: 1,
+			mode: nipt.DeliberateUpdate, off: 8, n: 1024,
+		},
+		{
+			name: "write-back-cold", cfg: eisa, sendPages: 2, mapPages: 1,
+			off: phys.PageSize + 64, n: 1024,
+		},
+		{
+			name: "write-back-warm", cfg: eisa, sendPages: 2, mapPages: 1,
+			off: phys.PageSize + 64, n: 1024, warm: true,
+		},
+		{
+			// Once the write buffer fills, each word waits for the bus
+			// longer than the merge window, so open packets expire
+			// between words of the run.
+			name: "merge-window-expires",
+			cfg: func() Config {
+				cfg := eisa()
+				cfg.NIC.MergeWindow = 30 * sim.Nanosecond
+				return cfg
+			},
+			sendPages: 2, mapPages: 2, n: 2 * phys.PageSize,
+			check: func(t *testing.T, o storeOutcome) {
+				s := o.AtWrite.Nodes[0]
+				if s.Cache.WriteBufferStall == 0 {
+					t.Fatal("the run never stalled on the write buffer")
+				}
+				if full := uint64(2 * phys.PageSize / nic.DefaultConfig().MaxPayload); s.NIC.MergedPackets <= full {
+					t.Fatalf("%d packets: the merge window never expired mid-run", s.NIC.MergedPackets)
+				}
+			},
+		},
+		{
+			name: "metrics-recorder",
+			cfg: func() Config {
+				cfg := eisa()
+				cfg.Metrics = true
+				cfg.Recorder = obs.RecorderConfig{Interval: sim.Microsecond, Capacity: 4096}
+				return cfg
+			},
+			sendPages: 2, mapPages: 2, off: 12, n: 6000,
+			check: func(t *testing.T, o storeOutcome) {
+				if o.Final.Rec.Overwrote != 0 || len(o.Final.Rec.Times) == 0 {
+					t.Fatalf("recorder kept %d samples and lost %d", len(o.Final.Rec.Times), o.Final.Rec.Overwrote)
+				}
+			},
+		},
 	}
 	for i := range cases {
 		cases[i].bg = 2 * phys.PageSize
@@ -344,13 +469,20 @@ func TestStorePathRandomRuns(t *testing.T) {
 // word, as RunFor's inclusive window fires it, whether it sits on the
 // node's own engine or (partitioned) on the hub. Here the event revokes
 // write permission on the page being written, so the run's second word
-// must fault: the horizon test is strict, and translation is per word.
+// must fault: the horizon test is strict, and a span ends at the word
+// that reaches it. On a mapped (write-through) page the first word
+// merges into the packet a previous store opened, so a span stores it.
 func TestStorePathEventAtWordEnd(t *testing.T) {
 	for _, tc := range []struct {
-		parts int
-		hub   bool
-	}{{0, false}, {2, false}, {2, true}} {
-		t.Run(fmt.Sprintf("P%d/hub=%v", tc.parts, tc.hub), func(t *testing.T) {
+		parts  int
+		hub    bool
+		mapped bool
+	}{{0, false, false}, {2, false, false}, {2, true, false}, {0, false, true}, {2, false, true}, {2, true, true}} {
+		name := fmt.Sprintf("P%d/hub=%v", tc.parts, tc.hub)
+		if tc.mapped {
+			name = "mapped/" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			run := func(write writeFn) (string, machineState) {
 				cfg := ConfigFor(2, 2, nic.GenEISAPrototype)
 				cfg.Partitions = tc.parts
@@ -362,8 +494,17 @@ func TestStorePathEventAtWordEnd(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Warm the line: the page is write-back, so the run's
-				// first word is a store hit costing exactly HitTime.
+				if tc.mapped {
+					pd := m.Node(1).K.CreateProcess()
+					recvVA, err := pd.AllocPages(1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.MustMap(p, va, phys.PageSize, 1, pd.PID, recvVA, nipt.BlockedWriteAU)
+				}
+				// Warm the line (a write-back page) or open a blocked-
+				// write packet (a mapped one): either way the run's first
+				// word costs exactly HitTime.
 				if err := n.UserWrite32(p, va, 1); err != nil {
 					t.Fatal(err)
 				}

@@ -34,15 +34,22 @@ type openPacket struct {
 	lastWrite   sim.Time
 }
 
+// merges is the §4.1 merge predicate: a size-byte write at now through
+// m to remote joins the open packet o when it uses the same mapping
+// half, continues o's remote range, fits in MaxPayload, and comes
+// within MergeWindow of o's last write.
+func (n *NIC) merges(o *openPacket, m *nipt.OutMapping, remote phys.PAddr, size int, now sim.Time) bool {
+	return o.m == m &&
+		o.startRemote+phys.PAddr(len(o.buf)) == remote &&
+		len(o.buf)+size <= n.cfg.MaxPayload &&
+		now-o.lastWrite <= n.cfg.MergeWindow
+}
+
 func (n *NIC) mergeWrite(m *nipt.OutMapping, remote phys.PAddr, data []byte, srcPage phys.PageNum) {
 	o := n.merge.open
 	now := n.eng.Now()
 	if o != nil {
-		mergeable := o.m == m &&
-			o.startRemote+phys.PAddr(len(o.buf)) == remote &&
-			len(o.buf)+len(data) <= n.cfg.MaxPayload &&
-			now-o.lastWrite <= n.cfg.MergeWindow
-		if mergeable {
+		if n.merges(o, m, remote, len(data), now) {
 			o.buf = append(o.buf, data...)
 			o.lastWrite = now
 			n.stats.MergedWrites++

@@ -590,6 +590,50 @@ func (n *NIC) SnoopWrite(init bus.Initiator, a phys.PAddr, data []byte) {
 	}
 }
 
+// SpanLimit implements bus.SpanSnooper. A span takes the words that
+// resolve alike through the NIPT (see nipt.Table.ResolveRun) when each
+// would only be counted — unmapped halves, deliberate-update pages — or
+// merged into the open blocked-write packet while its time-limit check
+// is pending: the first word must pass the merge predicate now, each
+// later one continues the remote range within MergeWindow of the one
+// before, and the packet's room in MaxPayload bounds the run. A word
+// that would open or flush a packet, or arm the merge timer, is left to
+// SnoopWrite. Single-write pages emit a packet per store, so they
+// refuse spans.
+func (n *NIC) SpanLimit(a phys.PAddr, size int, now sim.Time) (int, sim.Time) {
+	m, remote, ok, run := n.table.ResolveRun(a, size)
+	switch {
+	case !ok || m.Mode == nipt.DeliberateUpdate:
+		return run, sim.Forever
+	case m.Mode == nipt.SingleWriteAU:
+		return -1, 0
+	}
+	o := n.merge.open
+	if o == nil || !n.merge.timerArmed || !n.merges(o, m, remote, 4, now) {
+		return 0, 0
+	}
+	return min(run, n.cfg.MaxPayload-len(o.buf)), n.cfg.MergeWindow
+}
+
+// SnoopSpan implements bus.SpanSnooper: the span's words, each counted
+// as SnoopWrite counts it and, on a blocked-write page, appended to the
+// open packet that SpanLimit found them continuing.
+func (n *NIC) SnoopSpan(a phys.PAddr, data []byte, last sim.Time) {
+	words := uint64(len(data) / 4)
+	n.stats.SnoopedWrites += words
+	n.scope.Add(obs.CtrSnoopedWrites, words)
+	m, _, ok, _ := n.table.ResolveRun(a, len(data))
+	n.table.CountResolves(words, ok)
+	if !ok || m.Mode == nipt.DeliberateUpdate {
+		return
+	}
+	o := n.merge.open
+	o.buf = append(o.buf, data...)
+	o.lastWrite = last
+	n.stats.MergedWrites += words
+	n.scope.Add(obs.CtrMergedWrites, words)
+}
+
 // emit packetizes payload destined for the given remote address and
 // queues it on the Outgoing FIFO after the packetize latency. The
 // payload bytes are copied into a pooled packet, so the caller's buffer

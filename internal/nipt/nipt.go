@@ -235,19 +235,61 @@ func (t *Table) UnmapOut(p phys.PageNum) {
 // address the data should be delivered to, or ok=false when the address
 // is not mapped out.
 func (t *Table) Resolve(a phys.PAddr) (m *OutMapping, remote phys.PAddr, ok bool) {
-	t.scope.Inc(obs.CtrNIPTLookups)
-	m = t.Entry(a.Page()).Out(a.Offset())
+	m, remote, ok = t.Entry(a.Page()).resolve(a.Offset())
+	t.CountResolves(1, ok)
+	return m, remote, ok
+}
+
+// ResolveRun is Resolve for the n bytes of consecutive 4-byte words
+// starting at a, all inside a's page, without counting the lookups. It
+// returns what Resolve would for a and the number of bytes, from a,
+// whose words Resolve treats the same way: through m to consecutive
+// remote addresses, or all unmapped. A word belongs to the half its
+// first byte's offset selects.
+func (t *Table) ResolveRun(a phys.PAddr, n int) (m *OutMapping, remote phys.PAddr, ok bool, run int) {
+	e := t.Entry(a.Page())
+	off := int64(a.Offset())
+	end := off + int64(n)
+	if e.Split != 0 && off < int64(e.Split) {
+		end = min(end, wordEnd(off, int64(e.Split))) // words starting below Split use Lo
+	}
+	m, remote, ok = e.resolve(uint32(off))
+	half := e.Out(uint32(off))
+	switch shift := int64(half.DstShift); {
+	case ok: // up to the first word shifted past the remote page
+		end = min(end, wordEnd(off, phys.PageSize-shift))
+	case half.Mode != Unmapped && off+shift < 0: // up to the first word shifted into it
+		end = min(end, wordEnd(off, -shift))
+	}
+	return m, remote, ok, int(end - off)
+}
+
+// wordEnd returns the end of the words from off that start below lim.
+func wordEnd(off, lim int64) int64 {
+	return off + (lim-off+3)&^3
+}
+
+// CountResolves charges words lookups, all hits or all misses, to the
+// node's metrics exactly as that many Resolve calls would.
+func (t *Table) CountResolves(words uint64, ok bool) {
+	t.scope.Add(obs.CtrNIPTLookups, words)
+	if !ok {
+		t.scope.Add(obs.CtrNIPTMisses, words)
+	}
+}
+
+// resolve is Resolve's rule for the byte at page offset off.
+func (e *Entry) resolve(off uint32) (m *OutMapping, remote phys.PAddr, ok bool) {
+	m = e.Out(off)
 	if m.Mode == Unmapped {
-		t.scope.Inc(obs.CtrNIPTMisses)
 		return nil, 0, false
 	}
-	off := int64(a.Offset()) + int64(m.DstShift)
-	if off < 0 || off >= phys.PageSize {
+	r := int64(off) + int64(m.DstShift)
+	if r < 0 || r >= phys.PageSize {
 		// A shifted split mapping can push an offset outside the remote
 		// page; the kernel must set up splits so this cannot happen, and
 		// the hardware would drop such a write.
-		t.scope.Inc(obs.CtrNIPTMisses)
 		return nil, 0, false
 	}
-	return m, m.DstPage.Addr(uint32(off)), true
+	return m, m.DstPage.Addr(uint32(r)), true
 }

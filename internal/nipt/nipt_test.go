@@ -1,6 +1,7 @@
 package nipt
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -269,6 +270,52 @@ func TestBootSetBootDiscardsBuilt(t *testing.T) {
 	for p := phys.PageNum(0); int(p) < tb.Pages(); p++ {
 		if got, want := *tb.Entry(p), bootContents(p); got != want {
 			t.Fatalf("page %d = %+v, want %+v", p, got, want)
+		}
+	}
+}
+
+// TestResolveRunMatchesResolve pins ResolveRun to per-word Resolve on
+// random entries (whole, split at any offset, either half unmapped,
+// shifts that push words off either end of the remote page): every
+// word of the returned run resolves as its first word does, to the
+// next remote address, and a mapped run stops only where the next word
+// resolves differently.
+func TestResolveRunMatchesResolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	modes := []Mode{Unmapped, SingleWriteAU, BlockedWriteAU, DeliberateUpdate}
+	half := func() OutMapping {
+		return OutMapping{
+			Mode: modes[rng.Intn(len(modes))], DstNode: 1, DstPage: 7,
+			DstShift: int32(rng.Intn(2*phys.PageSize) - phys.PageSize),
+		}
+	}
+	tb := New(1)
+	for i := 0; i < 2000; i++ {
+		if rng.Intn(3) == 0 {
+			tb.MapOut(0, half())
+		} else {
+			tb.MapOutSplit(0, uint32(1+rng.Intn(phys.PageSize-1)), half(), half())
+		}
+		off := uint32(rng.Intn(phys.PageSize/4)) * 4
+		n := 4 * (1 + rng.Intn(int(phys.PageSize-off)/4))
+		a := phys.PageNum(0).Addr(off)
+		m, remote, ok, run := tb.ResolveRun(a, n)
+		if run < 4 || run > n || run%4 != 0 {
+			t.Fatalf("case %d: run %d of %d bytes at %d", i, run, n, off)
+		}
+		for w := 0; w < run; w += 4 {
+			wm, wr, wok := tb.Resolve(a + phys.PAddr(w))
+			if wm != m || wok != ok || (ok && wr != remote+phys.PAddr(w)) {
+				t.Fatalf("case %d (%+v): word %d of the run at %d resolves to (%v %#x %v), its first to (%v %#x %v)",
+					i, *tb.Entry(0), w, off, wm, uint32(wr), wok, m, uint32(remote), ok)
+			}
+		}
+		if ok && run < n {
+			wm, wr, wok := tb.Resolve(a + phys.PAddr(run))
+			if wm == m && wok == ok && (!ok || wr == remote+phys.PAddr(run)) {
+				t.Fatalf("case %d (%+v): the run at %d stops at %d of %d, but the next word resolves alike",
+					i, *tb.Entry(0), off, run, n)
+			}
 		}
 	}
 }

@@ -95,6 +95,18 @@ func (m *Memory) frame(p int) *[PageSize]byte {
 	return f
 }
 
+// View returns the n bytes at a, which must lie inside one page, as a
+// slice of the page frame itself, allocating the frame on first use:
+// writing through the slice writes DRAM.
+func (m *Memory) View(a PAddr, n int) []byte {
+	m.check(a, n)
+	off := int(a.Offset())
+	if off+n > PageSize {
+		panic(fmt.Sprintf("phys: view [%#x,%#x) crosses a page", uint32(a), uint64(a)+uint64(n)))
+	}
+	return m.frame(int(a >> PageShift))[off : off+n : off+n]
+}
+
 // Read copies n bytes starting at a into a fresh slice.
 func (m *Memory) Read(a PAddr, n int) []byte {
 	out := make([]byte, n)

@@ -26,8 +26,7 @@
 // preextracted arguments) dispatched through the Dispatcher installed by
 // the machine glue, so the steady-state rendezvous allocates nothing:
 // no closure per post, no closure per delivery, and the hub-side replay
-// events come from a free list. Kind 0 falls back to a plain func() for
-// harness code and tests.
+// events come from a free list.
 //
 // # Conservative lookahead
 //
@@ -57,9 +56,9 @@
 // pending event at T takes), the hub drains T, and messages are run —
 // repeating until the instant is exhausted.
 //
-// Without a per-partition probe (SetProbe instead of SetPartProbes) the
-// edge collapses to the uniform probe() + lookahead of PR 7, which
-// remains the path for bare sim-level clusters.
+// Without per-partition probes (SetPartProbes and SetPairLookahead) the
+// edge collapses to one uniform edge, the hub's next event, which is
+// the path for bare sim-level clusters.
 //
 // Parallelism is a persistent worker gang (see gang.go): one goroutine
 // per partition beyond the first, alive for the Cluster's lifetime,
@@ -93,15 +92,10 @@ import (
 	"time"
 )
 
-// PostFunc is the Post/Msg kind that carries a plain func() instead of a
-// typed record — the cold-path and test fallback.
-const PostFunc uint8 = 0
-
 // Post is one node→hub action, replayed on the hub engine at time At in
 // domain Dom (the posting node's domain, so replay order matches the
 // sequential interleaving). Kind selects the fabric call and A/B/U/Ptr
-// carry its preextracted arguments, decoded by the Dispatcher; Kind
-// PostFunc runs Fn instead.
+// carry its preextracted arguments, decoded by the Dispatcher.
 type Post struct {
 	At   Time
 	Dom  Domain
@@ -109,21 +103,19 @@ type Post struct {
 	A, B int64
 	U    uint64
 	Ptr  any
-	Fn   func()
 }
 
 // Msg is one hub→node action (a packet delivery or injector-free
-// callback), decoded by the Dispatcher; Kind PostFunc runs Fn.
+// callback), decoded by the Dispatcher.
 type Msg struct {
 	Kind uint8
 	A, B int64
 	Ptr  any
-	Fn   func()
 }
 
 // Dispatcher decodes typed posts and messages into machine calls. The
-// core glue installs one; clusters without a dispatcher may only carry
-// PostFunc records.
+// core glue installs one; a cluster that carries posts or messages must
+// have one.
 type Dispatcher interface {
 	ApplyPost(Post)
 	ApplyMsg(Msg)
@@ -152,11 +144,7 @@ func (ev *postEvent) Fire() {
 	ev.p = Post{}
 	ev.next = c.freeEv
 	c.freeEv = ev
-	if p.Kind == PostFunc {
-		p.Fn()
-	} else {
-		c.disp.ApplyPost(p)
-	}
+	c.disp.ApplyPost(p)
 }
 
 // Cluster runs one machine partitioned across several engines.
@@ -164,7 +152,6 @@ type Cluster struct {
 	parts []*Engine
 	hub   *Engine
 	look  Time // minimum release→node-consequence latency (mesh flit time)
-	probe func() Time
 	disp  Dispatcher
 
 	// Adaptive per-partition lookahead (SetPartProbes/SetPairLookahead).
@@ -224,12 +211,6 @@ func NewCluster(parts []*Engine, hub *Engine, look Time) *Cluster {
 	return c
 }
 
-// SetProbe installs the uniform lookahead probe: a lower bound on the
-// earliest simulated time any partition could make its next post. It is
-// called only between phases (never concurrently with node phases).
-// SetPartProbes supersedes it when installed.
-func (c *Cluster) SetProbe(f func() Time) { c.probe = f }
-
 // SetPartProbes installs the per-partition probe: lower bounds on the
 // earliest future packet injection (inj) and FIFO release (rel) the
 // partition's nodes can post. Results are cached; the cache for a
@@ -279,9 +260,6 @@ func (c *Cluster) PostTo(part int, p Post) {
 func (c *Cluster) DeferMsg(part int, m Msg) {
 	c.msgs = append(c.msgs, deferred{part: part, at: c.hub.Now(), dom: c.hub.Domain(), m: m})
 }
-
-// Defer records a plain-func message (see DeferMsg).
-func (c *Cluster) Defer(part int, fn func()) { c.DeferMsg(part, Msg{Fn: fn}) }
 
 // Close stops the persistent worker gang, if one was started. The
 // cluster remains usable — the next parallel round starts a fresh gang —
@@ -450,15 +428,6 @@ func (c *Cluster) flushPosts() {
 	}
 }
 
-// applyMsg runs one decoded hub→node message body.
-func (c *Cluster) applyMsg(m Msg) {
-	if m.Kind == PostFunc {
-		m.Fn()
-	} else {
-		c.disp.ApplyMsg(m)
-	}
-}
-
 // flushMsgs runs buffered hub→node messages in hub execution order,
 // advancing the target partition's clock to the message time first (safe:
 // nothing earlier can be pending, the message time is the current global
@@ -471,7 +440,7 @@ func (c *Cluster) flushMsgs() {
 		e := c.parts[d.part]
 		e.AdvanceTo(d.at)
 		prev := e.EnterDomain(d.dom)
-		c.applyMsg(d.m)
+		c.disp.ApplyMsg(d.m)
 		e.EnterDomain(prev)
 		c.dirty[d.part] = true
 	}
@@ -537,21 +506,9 @@ func (c *Cluster) windowEdges(T Time) Time {
 		deadline = c.pacer.NextDeadline()
 	}
 	if c.partProbe == nil || c.pairLook == nil {
-		// Uniform mode: one probe, one lookahead, one shared edge.
-		w := hubNext
-		p := Forever
-		if c.probe != nil {
-			p = c.probe()
-		}
-		if p < T {
-			p = T
-		}
-		if edge := satAdd(p, c.look); edge < w {
-			w = edge
-		}
-		if deadline < w {
-			w = deadline
-		}
+		// Uniform mode (bare clusters, no probes installed): one shared
+		// edge at the hub's next event.
+		w := min(hubNext, deadline)
 		for i := range c.edges {
 			c.edges[i] = w
 		}
